@@ -82,21 +82,22 @@ WorkerPool::workerLoop(Worker &w)
             JobBatch &jobs = *task.jobs;
             jobLane(jobs);
             workerRanges_.fetch_add(1, std::memory_order_relaxed);
+            // Retire the lane under the mutex the dispatcher reads the
+            // count under: once it sees zero it returns and unwinds
+            // the stack-held batch, which this lane must not touch.
+            std::lock_guard<std::mutex> lock(jobs.doneMutex);
             if (jobs.pendingLanes.fetch_sub(
-                    1, std::memory_order_acq_rel) == 1) {
-                std::lock_guard<std::mutex> lock(jobs.doneMutex);
+                    1, std::memory_order_acq_rel) == 1)
                 jobs.doneCv.notify_all();
-            }
             continue;
         }
         runRange(task);
         workerRanges_.fetch_add(1, std::memory_order_relaxed);
         Batch &batch = *task.batch;
+        std::lock_guard<std::mutex> lock(batch.doneMutex); // as above
         if (batch.pendingRanges.fetch_sub(
-                1, std::memory_order_acq_rel) == 1) {
-            std::lock_guard<std::mutex> lock(batch.doneMutex);
+                1, std::memory_order_acq_rel) == 1)
             batch.doneCv.notify_all();
-        }
     }
 }
 

@@ -19,13 +19,6 @@ RootComplex::Handles::Handles(sim::StatGroup &g)
       iommuBlocked(g.counterHandle("iommu_blocked")),
       dmaWrites(g.counterHandle("dma_writes")),
       dmaReads(g.counterHandle("dma_reads")),
-      transportRxAccepted(
-          g.counterHandle("transport_rx_accepted")),
-      transportRxDuplicates(
-          g.counterHandle("transport_rx_duplicates")),
-      transportRxOoo(g.counterHandle("transport_rx_ooo")),
-      transportAcksSent(g.counterHandle("transport_acks_sent")),
-      transportNaksSent(g.counterHandle("transport_naks_sent")),
       transportAcksReceived(
           g.counterHandle("transport_acks_received")),
       readLatencyTicks(g.histogramHandle("read_latency_ticks"))
@@ -35,9 +28,22 @@ RootComplex::RootComplex(sim::System &sys, std::string name,
                          HostMemory &mem)
     : sim::SimObject(sys, std::move(name)), mem_(mem),
       stats_(sys.metrics(), this->name()), s_(stats_),
-      tracer_(&sys.tracer())
+      tracer_(&sys.tracer()),
+      rx_(retry_, GbnReceiver::Counters(stats_),
+          [this](const TransportAck &ack) {
+              down_->send(makeTransportAck(wellknown::kRootComplex,
+                                           wellknown::kPcieSc, ack));
+          })
 {
 }
+
+RootComplex::OutstandingRead::OutstandingRead(RootComplex &rc,
+                                              CplCallback cb)
+    : cb(std::move(cb)), issued(rc.curTick()),
+      retry(rc, rc.retry_, {rc.s_.readRetries, rc.s_.faultsFatal},
+            [&rc](const TlpPtr &req) { rc.down_->send(req); },
+            [&rc](TlpPtr req) { rc.readExhausted(*req); })
+{}
 
 std::uint8_t
 RootComplex::allocTag()
@@ -57,70 +63,31 @@ RootComplex::sendRead(Tlp tlp, CplCallback cb)
     if (!down_)
         panic("root complex: downstream link not connected");
     tlp.tag = allocTag();
-    std::uint8_t tag = tlp.tag;
     auto req = std::make_shared<Tlp>(std::move(tlp));
-
-    OutstandingRead entry;
-    entry.cb = std::move(cb);
-    entry.request = req;
-    entry.issued = curTick();
-    outstanding_[tag] = std::move(entry);
+    OutstandingRead &o =
+        outstanding_.try_emplace(req->tag, *this, std::move(cb))
+            .first->second;
 
     s_.readsSent.inc();
     down_->send(req);
     if (retry_.enabled)
-        armReadTimer(tag);
+        o.retry.start(req);
 }
 
 void
-RootComplex::armReadTimer(std::uint8_t tag)
+RootComplex::readExhausted(const Tlp &req)
 {
-    auto it = outstanding_.find(tag);
-    if (it == outstanding_.end())
-        return;
-    OutstandingRead &o = it->second;
-    if (!o.timer)
-        o.timer = std::make_unique<sim::EventFunctionWrapper>(
-            [this, tag] { onReadTimeout(tag); }, "rc-read-timeout");
-    Tick timeout = retry_.timeoutFor(retry_.readTimeout, o.attempts);
-    eventq().rescheduleIn(o.timer.get(), timeout);
-}
-
-void
-RootComplex::onReadTimeout(std::uint8_t tag)
-{
-    auto it = outstanding_.find(tag);
-    if (it == outstanding_.end())
-        return;
-    OutstandingRead &o = it->second;
-    if (o.attempts >= retry_.maxReadRetries) {
-        // Budget exhausted: fabricate an abort completion so the
-        // caller's state machine can fail instead of hang. Erasing
-        // the entry destroys the timer event executing right now, so
-        // everything needed afterwards is moved out first.
-        CplCallback cb = std::move(o.cb);
-        TlpPtr req = o.request;
-        outstanding_.erase(it);
-        s_.readRetryExhausted.inc();
-        s_.faultsFatal.inc();
-        warnRateLimited(
-            "rc-read-exhausted",
-            "root complex: read tag %d addr 0x%llx exhausted "
-            "its retry budget",
-            int(req->tag),
-            (unsigned long long)req->address);
-        auto cpl = std::make_shared<Tlp>(Tlp::makeCompletion(
-            req->completer, req->requester, req->tag, {},
-            CplStatus::CompleterAbort));
-        cb(cpl);
-        return;
-    }
-    ++o.attempts;
-    s_.readRetries.inc();
-    if (tracer_->enabled())
-        tracer_->instant(traceTrack(), "read.retry", curTick());
-    down_->send(o.request);
-    armReadTimer(tag);
+    // Budget exhausted: fabricate an abort completion so the
+    // caller's state machine can fail instead of hang. Erasing the
+    // entry destroys the timer event executing right now, so the
+    // callback is moved out first.
+    auto it = outstanding_.find(req.tag);
+    CplCallback cb = std::move(it->second.cb);
+    outstanding_.erase(it);
+    s_.readRetryExhausted.inc();
+    cb(std::make_shared<Tlp>(Tlp::makeCompletion(
+        req.completer, req.requester, req.tag, {},
+        CplStatus::CompleterAbort)));
 }
 
 void
@@ -138,51 +105,12 @@ RootComplex::sendWrite(const TlpPtr &tlp)
     down_->send(tlp);
 }
 
-bool
-RootComplex::transportGate(const TlpPtr &tlp)
-{
-    if (!retry_.enabled || !tlp->ackRequired)
-        return true;
-    std::uint64_t &rx = rxSeq_[tlp->txChannel];
-    if (tlp->seqNo == rx + 1) {
-        rx = tlp->seqNo;
-        s_.transportRxAccepted.inc();
-        sendAck(tlp->txChannel, rx, false);
-        return true;
-    }
-    if (tlp->seqNo <= rx) {
-        // Retransmit of something already delivered: re-ack so the
-        // sender's window advances, but do not apply twice.
-        s_.transportRxDuplicates.inc();
-        sendAck(tlp->txChannel, rx, false);
-        return false;
-    }
-    // Gap: something before this TLP was lost. NAK the first
-    // missing seq; the sender goes back and retransmits from there.
-    s_.transportRxOoo.inc();
-    sendAck(tlp->txChannel, rx + 1, true);
-    return false;
-}
-
-void
-RootComplex::sendAck(std::uint16_t channel, std::uint64_t seq, bool nak)
-{
-    Tlp ack = Tlp::makeMessage(wellknown::kRootComplex,
-                               MsgCode::TransportAck);
-    ack.completer = wellknown::kPcieSc; // ID-routed back to the SC
-    ack.fmt = TlpFmt::FourDwData;
-    ack.data = encodeTransportAck(TransportAck{nak, channel, seq});
-    ack.lengthBytes = static_cast<std::uint32_t>(ack.data.size());
-    (nak ? s_.transportNaksSent : s_.transportAcksSent).inc();
-    down_->send(std::make_shared<Tlp>(std::move(ack)));
-}
-
 void
 RootComplex::receiveTlp(const TlpPtr &tlp, PcieNode *)
 {
     switch (tlp->type) {
       case TlpType::Completion: {
-        if (!transportGate(tlp))
+        if (rx_.admit(*tlp) != GbnReceiver::Verdict::Deliver)
             return;
         auto it = outstanding_.find(tlp->tag);
         if (it == outstanding_.end()) {
@@ -193,7 +121,7 @@ RootComplex::receiveTlp(const TlpPtr &tlp, PcieNode *)
                      int(tlp->tag));
             return;
         }
-        if (it->second.attempts > 0)
+        if (it->second.retry.attempts() > 0)
             s_.faultsRecovered.inc();
         Tick issued = it->second.issued;
         s_.readLatencyTicks.sample(curTick() - issued);
@@ -219,7 +147,7 @@ RootComplex::receiveTlp(const TlpPtr &tlp, PcieNode *)
                 it->second(*decoded);
             return;
         }
-        if (!transportGate(tlp))
+        if (rx_.admit(*tlp) != GbnReceiver::Verdict::Deliver)
             return;
         s_.messages.inc();
         auto it = msgHandlers_.find(tlp->completer.raw());
@@ -233,7 +161,7 @@ RootComplex::receiveTlp(const TlpPtr &tlp, PcieNode *)
       }
       case TlpType::MemRead:
       case TlpType::MemWrite:
-        if (!transportGate(tlp))
+        if (rx_.admit(*tlp) != GbnReceiver::Verdict::Deliver)
             return;
         handleInboundRequest(tlp);
         return;
@@ -288,18 +216,16 @@ RootComplex::handleInboundRequest(const TlpPtr &tlp)
 void
 RootComplex::abortTransport()
 {
-    // Dropping the entries retires their retry timers too: the
-    // timer's (tag, gen) lookup finds nothing and no-ops.
+    // Dropping the entries disarms their retry timers too.
     outstanding_.clear();
-    rxSeq_.clear();
+    rx_.clear();
 }
 
 void
 RootComplex::reset()
 {
-    outstanding_.clear();
+    abortTransport();
     nextTag_ = 0;
-    rxSeq_.clear();
     stats_.reset();
 }
 

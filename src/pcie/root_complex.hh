@@ -127,25 +127,20 @@ class RootComplex : public sim::SimObject, public PcieNode
     void reset() override;
 
   private:
-    /** One in-flight non-posted request, kept for retransmission. */
+    /** One in-flight non-posted request. */
     struct OutstandingRead
     {
+        OutstandingRead(RootComplex &rc, CplCallback cb);
+
         CplCallback cb;
-        TlpPtr request; ///< retransmit copy (same tag)
-        int attempts = 0;
         Tick issued = 0; ///< for the read-latency histogram
-        /** Owned deadline timer: descheduled in O(1) when the entry
-         * is erased, so completed reads leave nothing queued. */
-        std::unique_ptr<sim::EventFunctionWrapper> timer;
+        ReadRetry retry; ///< completion deadline (retry enabled)
     };
 
     std::uint8_t allocTag();
     void handleInboundRequest(const TlpPtr &tlp);
-    void armReadTimer(std::uint8_t tag);
-    void onReadTimeout(std::uint8_t tag);
-    /** In-order delivery gate for ackRequired TLPs; true = deliver. */
-    bool transportGate(const TlpPtr &tlp);
-    void sendAck(std::uint16_t channel, std::uint64_t seq, bool nak);
+    /** ReadRetry exhaustion: complete @p req with an abort. */
+    void readExhausted(const Tlp &req);
 
     HostMemory &mem_;
     Link *down_ = nullptr;
@@ -154,8 +149,6 @@ class RootComplex : public sim::SimObject, public PcieNode
     MsgCallback msgHandler_;
     std::map<std::uint16_t, MsgCallback> msgHandlers_;
     std::map<std::uint16_t, TransportAckCallback> transportHandlers_;
-    /** Highest in-order seqNo accepted per upstream ARQ channel. */
-    std::map<std::uint16_t, std::uint64_t> rxSeq_;
     IommuCheck iommu_;
     RetryConfig retry_;
     sim::StatGroup stats_;
@@ -178,11 +171,6 @@ class RootComplex : public sim::SimObject, public PcieNode
         obs::CounterHandle iommuBlocked;
         obs::CounterHandle dmaWrites;
         obs::CounterHandle dmaReads;
-        obs::CounterHandle transportRxAccepted;
-        obs::CounterHandle transportRxDuplicates;
-        obs::CounterHandle transportRxOoo;
-        obs::CounterHandle transportAcksSent;
-        obs::CounterHandle transportNaksSent;
         obs::CounterHandle transportAcksReceived;
 
         obs::HistogramHandle readLatencyTicks;
@@ -194,6 +182,9 @@ class RootComplex : public sim::SimObject, public PcieNode
     {
         return tracer_->trackCached(track_, name());
     }
+
+    /** In-order gate for the SC's upstream ARQ channels. */
+    GbnReceiver rx_;
 };
 
 } // namespace ccai::pcie

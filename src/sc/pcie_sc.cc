@@ -53,17 +53,6 @@ PcieSc::Handles::Handles(sim::StatGroup &g)
       unknownOwnWrites(g.counterHandle("unknown_own_writes")),
       d2hReplays(g.counterHandle("d2h_replays")),
       d2hReplayMisses(g.counterHandle("d2h_replay_misses")),
-      transportRxDuplicates(
-          g.counterHandle("transport_rx_duplicates")),
-      transportRxOoo(g.counterHandle("transport_rx_ooo")),
-      transportRxAccepted(
-          g.counterHandle("transport_rx_accepted")),
-      transportAcksSent(g.counterHandle("transport_acks_sent")),
-      transportNaksSent(g.counterHandle("transport_naks_sent")),
-      transportRetransmits(
-          g.counterHandle("transport_retransmits")),
-      transportTimeoutRetransmits(
-          g.counterHandle("transport_timeout_retransmits")),
       a2DownCryptTicks(g.histogramHandle("a2_down_crypt_ticks")),
       a2UpCryptTicks(g.histogramHandle("a2_up_crypt_ticks")),
       forwardQueueTicks(g.histogramHandle("forward_queue_ticks"))
@@ -80,10 +69,29 @@ PcieSc::PcieSc(sim::System &sys, std::string name,
     : sim::SimObject(sys, std::move(name)), config_(config),
       filter_(config.filterTiming), gcmEngine_(config.engineTiming),
       stats_(sys.metrics(), this->name()), s_(stats_),
-      tracer_(&sys.tracer())
+      tracer_(&sys.tracer()),
+      upCounters_(stats_),
+      rxDown_(config_.retry, pcie::GbnReceiver::Counters(stats_),
+              [this](const pcie::TransportAck &ack) {
+                  forward(pcie::makeTransportAck(
+                              pcie::wellknown::kPcieSc,
+                              pcie::Bdf::fromRaw(ack.channel), ack),
+                          true, 0);
+              })
 {
     envGuard_.bindStats(stats_);
 }
+
+PcieSc::PendingRead::PendingRead(PcieSc &sc, Addr addr,
+                                 std::uint16_t tenant)
+    : addr(addr), tenant(tenant),
+      retry(sc, sc.config_.retry,
+            {sc.s_.a2ReadRetries, sc.s_.faultsFatal},
+            [&sc](const TlpPtr &req) {
+                sc.forward(std::make_shared<Tlp>(*req), true, 0);
+            },
+            [&sc](TlpPtr req) { sc.abortSensitiveRead(*req, 0); })
+{}
 
 void
 PcieSc::connectUpstream(pcie::Link *up, pcie::PcieNode *upNeighbor)
@@ -135,8 +143,8 @@ PcieSc::establishTenant(pcie::Bdf tenant, const Bytes &sessionSecret,
     // scratch on both directions; the adaptor resets its transmit
     // state in establishSession, and leaving stale receive/transmit
     // state here would NAK-loop or duplicate-drop the fresh stream.
-    upTx_.erase(tenant.raw());
-    rxSeqDown_[tenant.raw()] = 0;
+    upSenders_.erase(tenant.raw());
+    rxDown_.clear(tenant.raw());
 
     // The first tenant (the owner TVM) controls the packet policy.
     if (sessions_.size() == 1) {
@@ -213,7 +221,7 @@ PcieSc::endTenant(pcie::Bdf tenant, bool device_supports_soft_reset)
     sessions_.erase(it);
     // Abandon the tenant's upstream ARQ window: nothing behind it
     // exists any more, and a live timer would retransmit forever.
-    upTx_.erase(tenant.raw());
+    upSenders_.erase(tenant.raw());
     s_.tasksEnded.inc();
 
     // Scrub the shared device once the last tenant leaves.
@@ -255,8 +263,8 @@ PcieSc::firmwareRestart()
     // performs the uniform key-destruction + scrub teardown.
     pendingSensitiveReads_.clear();
     recentCompleted_.clear();
-    upTx_.clear();
-    rxSeqDown_.clear();
+    upSenders_.clear();
+    rxDown_.clear();
     upBusyUntil_ = 0;
     downBusyUntil_ = 0;
     inform("%s: firmware restarted", name().c_str());
@@ -315,8 +323,11 @@ PcieSc::processDownstreamBound(const TlpPtr &tlp)
     if (tlp->type == TlpType::Message &&
         tlp->msgCode == pcie::MsgCode::TransportAck) {
         s_.transportAcksReceived.inc();
-        if (auto ack = pcie::decodeTransportAck(tlp->data))
-            handleUpstreamAck(*ack);
+        if (auto ack = pcie::decodeTransportAck(tlp->data)) {
+            auto it = upSenders_.find(ack->channel);
+            if (it != upSenders_.end())
+                it->second.onAck(*ack);
+        }
         return;
     }
 
@@ -341,8 +352,26 @@ PcieSc::processDownstreamBound(const TlpPtr &tlp)
     }
 
     // In-order admit gate for ackRequired traffic. Placed after the
-    // A1 check so disallowed packets are never acknowledged.
-    if (!transportAdmitDown(tlp, action))
+    // A1 check so disallowed packets are never acknowledged. For A3
+    // traffic the MAC (which covers the ARQ header fields) decides
+    // transport acceptance: a corrupted packet is NAKed for
+    // retransmission instead of silently dropped. Application-level
+    // rejections past this point (env-guard violations, config
+    // authentication failures) are still transport-accepted, or the
+    // channel would wedge on a packet that will never become
+    // acceptable.
+    pcie::GbnReceiver::Accept macOk;
+    if (action == SecurityAction::A3_PlainIntegrity &&
+        sessionEstablished()) {
+        macOk = [this, &tlp] {
+            TenantSession *t = session(tlp->requester.raw());
+            if (t && t->signer.verifyMac(*tlp))
+                return true;
+            s_.a3IntegrityFailures.inc();
+            return false;
+        };
+    }
+    if (rxDown_.admit(*tlp, macOk) != pcie::GbnReceiver::Verdict::Deliver)
         return;
 
     // TLPs addressed to the controller's own BARs terminate here.
@@ -430,7 +459,7 @@ PcieSc::handleA2Downstream(const TlpPtr &tlp)
     auto finishPending = [&] {
         if (!pending)
             return;
-        if (pending->attempts > 0)
+        if (pending->retry.attempts() > 0)
             s_.faultsRecovered.inc();
         recentCompleted_.insert(tag);
         pendingSensitiveReads_.erase(tag);
@@ -487,25 +516,12 @@ PcieSc::handleA2Downstream(const TlpPtr &tlp)
         // A tag failure on a tracked read means the ciphertext was
         // tampered with in flight: keep the chunk registered and
         // re-issue the read instead of silently dropping the data.
-        if (pending && config_.retry.enabled && pending->request &&
-            pending->attempts < config_.retry.maxReadRetries) {
-            ++pending->attempts;
-            s_.a2ReadRetries.inc();
-            forward(std::make_shared<Tlp>(*pending->request), true, 0);
-            armSensitiveReadTimer(tag);
+        if (pending && config_.retry.enabled && pending->retry.retry())
             return;
-        }
         s_.faultsFatal.inc();
         tenant->params.consume(rec->chunkId);
-        if (pending) {
-            // Unblock the device's DMA engine with an abort.
-            recentCompleted_.insert(tag);
-            pendingSensitiveReads_.erase(tag);
-            auto abort = std::make_shared<Tlp>(Tlp::makeCompletion(
-                pcie::wellknown::kPcieSc, tlp->requester, tag, {},
-                pcie::CplStatus::CompleterAbort));
-            forward(abort, false, delay);
-        }
+        if (pending)
+            abortSensitiveRead(*tlp, delay);
         return;
     }
     tenant->params.consume(rec->chunkId);
@@ -598,24 +614,23 @@ PcieSc::processUpstreamBound(const TlpPtr &tlp)
                     break;
                 }
             }
-            PendingRead p;
-            p.addr = tlp->address;
-            p.tenant = tenant_raw;
-            if (config_.retry.enabled)
-                p.request = std::make_shared<Tlp>(*tlp);
             // The tag is live again: a completion for it is no
             // longer a duplicate of the previous read.
             recentCompleted_.erase(tlp->tag);
-            pendingSensitiveReads_[tlp->tag] = std::move(p);
+            pendingSensitiveReads_.erase(tlp->tag);
+            PendingRead &p =
+                pendingSensitiveReads_
+                    .try_emplace(tlp->tag, *this, tlp->address,
+                                 tenant_raw)
+                    .first->second;
             if (config_.retry.enabled)
-                armSensitiveReadTimer(tlp->tag);
+                p.retry.start(std::make_shared<Tlp>(*tlp));
         }
         // Device interrupts aimed at a sessioned tenant ride that
         // tenant's ARQ channel so they are neither lost nor doubled
         // (a duplicated MSI would pop two waiters).
-        if (tlp->type == TlpType::Message && config_.retry.enabled) {
-            TenantSession *t = session(tlp->completer.raw());
-            if (t) {
+        if (tlp->type == TlpType::Message) {
+            if (TenantSession *t = session(tlp->completer.raw())) {
                 sendUpstreamArq(t->bdfRaw, tlp, filter_delay);
                 return;
             }
@@ -693,10 +708,7 @@ PcieSc::handleA2Upstream(const TlpPtr &tlp)
     }
 
     queueD2hRecord(*tenant, rec);
-    if (config_.retry.enabled)
-        sendUpstreamArq(tenant->bdfRaw, out, delay);
-    else
-        forward(out, true, delay);
+    sendUpstreamArq(tenant->bdfRaw, out, delay);
 }
 
 void
@@ -749,10 +761,7 @@ PcieSc::flushMetadataBatch(TenantSession &tenant)
                    startSlot * mm::metaring::kSlotStride;
         auto tlp = std::make_shared<Tlp>(Tlp::makeMemWrite(
             pcie::wellknown::kPcieSc, dst, std::move(blob)));
-        if (config_.retry.enabled)
-            sendUpstreamArq(tenant.bdfRaw, tlp, 0);
-        else
-            forward(tlp, true, 0);
+        sendUpstreamArq(tenant.bdfRaw, tlp, 0);
         tenant.metaTail += run;
         published = true;
     }
@@ -766,10 +775,7 @@ PcieSc::flushMetadataBatch(TenantSession &tenant)
         tenant.metaWindow.base + mm::metaring::kTailOffset,
         std::move(tailWord)));
     s_.metaBatches.inc();
-    if (config_.retry.enabled)
-        sendUpstreamArq(tenant.bdfRaw, tailTlp, 0);
-    else
-        forward(tailTlp, true, 0);
+    sendUpstreamArq(tenant.bdfRaw, tailTlp, 0);
 }
 
 // ---------------------------------------------------------------------
@@ -945,7 +951,7 @@ PcieSc::completeOwnRead(const TlpPtr &req, Bytes payload)
     // the metadata write it refers to. Foreign requesters (e.g. a
     // probing device) keep the plain path.
     TenantSession *t = session(req->requester.raw());
-    if (t && config_.retry.enabled)
+    if (t)
         sendUpstreamArq(t->bdfRaw, cpl, filter_.lookupDelay(*req));
     else
         forward(cpl, true, filter_.lookupDelay(*req));
@@ -974,63 +980,6 @@ PcieSc::handleChunkRetry(TenantSession &tenant, std::uint64_t chunkId)
                     name().c_str(), (unsigned long long)chunkId);
 }
 
-bool
-PcieSc::transportAdmitDown(const TlpPtr &tlp, SecurityAction action)
-{
-    if (!config_.retry.enabled || !tlp->ackRequired)
-        return true;
-    std::uint64_t &rx = rxSeqDown_[tlp->txChannel];
-    if (tlp->seqNo <= rx) {
-        // Retransmit of something already applied: re-ack so the
-        // sender's window advances, but do not apply twice.
-        s_.transportRxDuplicates.inc();
-        sendDownAck(tlp->txChannel, rx, false);
-        return false;
-    }
-    if (tlp->seqNo != rx + 1) {
-        // Gap: an earlier packet was lost; ask for it.
-        s_.transportRxOoo.inc();
-        if (tracer_->enabled())
-            tracer_->instant(traceTrack(), "arq.down_nak", curTick());
-        sendDownAck(tlp->txChannel, rx + 1, true);
-        return false;
-    }
-    // Next in sequence. For A3 traffic the MAC (which covers the
-    // ARQ header fields) decides transport acceptance: a corrupted
-    // packet is NAK'd for retransmission instead of silently
-    // dropped. Application-level rejections past this point (env-
-    // guard violations, config authentication failures) are still
-    // transport-accepted, or the channel would wedge on a packet
-    // that will never become acceptable.
-    if (action == SecurityAction::A3_PlainIntegrity &&
-        sessionEstablished()) {
-        TenantSession *t = session(tlp->requester.raw());
-        if (!t || !t->signer.verifyMac(*tlp)) {
-            s_.a3IntegrityFailures.inc();
-            sendDownAck(tlp->txChannel, rx + 1, true);
-            return false;
-        }
-    }
-    rx = tlp->seqNo;
-    s_.transportRxAccepted.inc();
-    sendDownAck(tlp->txChannel, rx, false);
-    return true;
-}
-
-void
-PcieSc::sendDownAck(std::uint16_t channel, std::uint64_t seq, bool nak)
-{
-    Tlp ack = Tlp::makeMessage(pcie::wellknown::kPcieSc,
-                               pcie::MsgCode::TransportAck);
-    ack.completer = pcie::Bdf::fromRaw(channel); // ID-routed home
-    ack.fmt = pcie::TlpFmt::FourDwData;
-    ack.data = pcie::encodeTransportAck(
-        pcie::TransportAck{nak, channel, seq});
-    ack.lengthBytes = static_cast<std::uint32_t>(ack.data.size());
-    (nak ? s_.transportNaksSent : s_.transportAcksSent).inc();
-    forward(std::make_shared<Tlp>(std::move(ack)), true, 0);
-}
-
 void
 PcieSc::sendUpstreamArq(std::uint16_t channel, const TlpPtr &tlp,
                         Tick delay)
@@ -1039,167 +988,30 @@ PcieSc::sendUpstreamArq(std::uint16_t channel, const TlpPtr &tlp,
         forward(tlp, true, delay);
         return;
     }
-    TxChannel &tx = upTx_[channel];
-    tlp->ackRequired = true;
-    tlp->txChannel = channel;
-    tlp->seqNo = tx.nextSeq++;
-    tx.unacked.push_back(tlp);
+    pcie::GbnSender &tx =
+        upSenders_
+            .try_emplace(channel, *this, config_.retry, channel,
+                         upCounters_,
+                         [this](const TlpPtr &p) {
+                             forward(p, true, 0);
+                         })
+            .first->second;
+    tx.stamp(*tlp);
     forward(tlp, true, delay);
-    if (tx.unacked.size() == 1)
-        armUpTxTimer(channel);
+    tx.send(tlp);
 }
 
 void
-PcieSc::handleUpstreamAck(const pcie::TransportAck &ack)
+PcieSc::abortSensitiveRead(const Tlp &tlp, Tick delay)
 {
-    auto it = upTx_.find(ack.channel);
-    if (it == upTx_.end())
-        return;
-    TxChannel &tx = it->second;
-    if (ack.nak) {
-        retransmitUpTx(ack.channel, ack.seq);
-        return;
-    }
-    std::size_t before = tx.unacked.size();
-    while (!tx.unacked.empty() &&
-           tx.unacked.front()->seqNo <= ack.seq) {
-        tx.unacked.pop_front();
-    }
-    std::size_t popped = before - tx.unacked.size();
-    if (popped == 0)
-        return; // stale cumulative ack
-    if (tx.dirty)
-        s_.faultsRecovered.inc(popped);
-    tx.attempts = 0;
-    if (tx.unacked.empty()) {
-        tx.dirty = false;
-        if (tx.timer.scheduled())
-            eventq().deschedule(&tx.timer);
-    } else {
-        armUpTxTimer(ack.channel);
-    }
-}
-
-void
-PcieSc::retransmitUpTx(std::uint16_t channel, std::uint64_t fromSeq)
-{
-    TxChannel &tx = upTx_[channel];
-    // A burst of NAKs (one per packet behind the gap) must trigger
-    // one go-back-N, not one resend-storm per NAK.
-    if (tx.lastGoBack != 0 &&
-        curTick() - tx.lastGoBack < config_.retry.retransmitGap)
-        return;
-    tx.lastGoBack = curTick();
-    std::uint64_t n = 0;
-    for (const auto &p : tx.unacked) {
-        if (p->seqNo >= fromSeq) {
-            forward(p, true, 0);
-            ++n;
-        }
-    }
-    if (n) {
-        tx.dirty = true;
-        s_.transportRetransmits.inc(n);
-        if (tracer_->enabled())
-            tracer_->instant(traceTrack(), "arq.up_go_back_n",
-                             curTick());
-    }
-}
-
-void
-PcieSc::armUpTxTimer(std::uint16_t channel)
-{
-    TxChannel &tx = upTx_[channel];
-    if (!tx.timerInit) {
-        tx.timer.setCallback([this, channel] { onUpTxTimeout(channel); },
-                             "sc-uptx-timeout");
-        tx.timerInit = true;
-    }
-    Tick timeout =
-        config_.retry.timeoutFor(config_.retry.ackTimeout, tx.attempts);
-    eventq().rescheduleIn(&tx.timer, timeout);
-}
-
-void
-PcieSc::onUpTxTimeout(std::uint16_t channel)
-{
-    auto it = upTx_.find(channel);
-    if (it == upTx_.end())
-        return;
-    TxChannel &tx = it->second;
-    if (tx.unacked.empty())
-        return;
-    if (tx.attempts >= config_.retry.maxRetries) {
-        s_.faultsFatal.inc(tx.unacked.size());
-        warnRateLimited(
-            "sc-uptx-exhausted",
-            "%s: upstream channel %u exhausted its retry budget "
-            "(%zu packets abandoned)",
-            name().c_str(), unsigned(channel),
-            tx.unacked.size());
-        tx.unacked.clear();
-        tx.attempts = 0;
-        tx.dirty = false;
-        return;
-    }
-    ++tx.attempts;
-    tx.dirty = true;
-    s_.transportTimeoutRetransmits.inc();
-    if (tracer_->enabled())
-        tracer_->instant(traceTrack(), "arq.up_timeout_retx",
-                         curTick());
-    for (const auto &p : tx.unacked)
-        forward(p, true, 0);
-    armUpTxTimer(channel);
-}
-
-void
-PcieSc::armSensitiveReadTimer(std::uint8_t tag)
-{
-    auto it = pendingSensitiveReads_.find(tag);
-    if (it == pendingSensitiveReads_.end() || !it->second.request)
-        return;
-    PendingRead &p = it->second;
-    if (!p.timer)
-        p.timer = std::make_unique<sim::EventFunctionWrapper>(
-            [this, tag] { onSensitiveReadDeadline(tag); },
-            "sc-read-deadline");
-    Tick timeout =
-        config_.retry.timeoutFor(config_.retry.readTimeout, p.attempts);
-    eventq().rescheduleIn(p.timer.get(), timeout);
-}
-
-void
-PcieSc::onSensitiveReadDeadline(std::uint8_t tag)
-{
-    auto it = pendingSensitiveReads_.find(tag);
-    if (it == pendingSensitiveReads_.end())
-        return;
-    PendingRead &p = it->second;
-    if (p.attempts >= config_.retry.maxReadRetries) {
-        s_.faultsFatal.inc();
-        warnRateLimited(
-            "sc-read-exhausted",
-            "%s: sensitive read tag %d addr 0x%llx exhausted "
-            "its retry budget",
-            name().c_str(), int(tag),
-            (unsigned long long)p.addr);
-        auto abort = std::make_shared<Tlp>(Tlp::makeCompletion(
-            pcie::wellknown::kPcieSc, p.request->requester, tag,
-            {}, pcie::CplStatus::CompleterAbort));
-        recentCompleted_.insert(tag);
-        // Erasing the map entry destroys the timer event that is
-        // executing right now — nothing below may touch `p`.
-        pendingSensitiveReads_.erase(it);
-        forward(abort, false, 0);
-        return;
-    }
-    ++p.attempts;
-    s_.a2ReadRetries.inc();
-    if (tracer_->enabled())
-        tracer_->instant(traceTrack(), "read.retry", curTick());
-    forward(std::make_shared<Tlp>(*p.request), true, 0);
-    armSensitiveReadTimer(tag);
+    // Unblock the device's DMA engine with an abort. Erasing the
+    // entry may destroy the timer event executing right now.
+    auto abort = std::make_shared<Tlp>(Tlp::makeCompletion(
+        pcie::wellknown::kPcieSc, tlp.requester, tlp.tag, {},
+        pcie::CplStatus::CompleterAbort));
+    recentCompleted_.insert(tlp.tag);
+    pendingSensitiveReads_.erase(tlp.tag);
+    forward(abort, false, delay);
 }
 
 void
@@ -1209,8 +1021,8 @@ PcieSc::reset()
     ownerTenant_ = 0;
     pendingSensitiveReads_.clear();
     recentCompleted_.clear();
-    upTx_.clear();
-    rxSeqDown_.clear();
+    upSenders_.clear();
+    rxDown_.clear();
     upBusyUntil_ = 0;
     downBusyUntil_ = 0;
     hung_ = false;

@@ -200,26 +200,13 @@ class PcieSc : public sim::SimObject, public pcie::PcieNode
     /** Outstanding sensitive device read: where and whose. */
     struct PendingRead
     {
+        PendingRead(PcieSc &sc, Addr addr, std::uint16_t tenant);
+
         Addr addr = 0;
         std::uint16_t tenant = 0;
-        pcie::TlpPtr request; ///< re-request copy (retry enabled)
-        int attempts = 0;
-        /** Owned deadline timer: descheduled in O(1) when the entry
-         * is erased, so completed reads leave nothing queued. */
-        std::unique_ptr<sim::EventFunctionWrapper> timer;
-    };
-
-    /** Upstream ARQ sender state, one channel per tenant. */
-    struct TxChannel
-    {
-        std::uint64_t nextSeq = 1;
-        std::deque<pcie::TlpPtr> unacked;
-        int attempts = 0;       ///< consecutive ack timeouts
-        bool dirty = false;     ///< a retransmission is in flight
-        /** Owned ack timer, re-armed in place (no allocation). */
-        sim::EventFunctionWrapper timer;
-        bool timerInit = false;
-        Tick lastGoBack = 0;    ///< NAK retransmit rate limiting
+        /** Re-request deadline (retry enabled); erasing the entry
+         * disarms it, so completed reads leave nothing queued. */
+        pcie::ReadRetry retry;
     };
 
     TenantSession *session(std::uint16_t tenantRaw);
@@ -249,20 +236,12 @@ class PcieSc : public sim::SimObject, public pcie::PcieNode
     void handleChunkRetry(TenantSession &tenant, std::uint64_t chunkId);
 
     // End-to-end transport (retry/ARQ) plumbing.
-    /** In-order admit gate for ackRequired downstream TLPs. */
-    bool transportAdmitDown(const pcie::TlpPtr &tlp,
-                            SecurityAction action);
-    void sendDownAck(std::uint16_t channel, std::uint64_t seq,
-                     bool nak);
     /** Stamp an upstream TLP onto a tenant channel and send it. */
     void sendUpstreamArq(std::uint16_t channel, const pcie::TlpPtr &tlp,
                          Tick delay);
-    void handleUpstreamAck(const pcie::TransportAck &ack);
-    void retransmitUpTx(std::uint16_t channel, std::uint64_t fromSeq);
-    void armUpTxTimer(std::uint16_t channel);
-    void onUpTxTimeout(std::uint16_t channel);
-    void armSensitiveReadTimer(std::uint8_t tag);
-    void onSensitiveReadDeadline(std::uint8_t tag);
+    /** Give up on the sensitive read of @p tlp (its request or
+     * completion): answer the device with a CompleterAbort. */
+    void abortSensitiveRead(const pcie::Tlp &tlp, Tick delay);
 
     PcieScConfig config_;
     PacketFilter filter_;
@@ -288,10 +267,8 @@ class PcieSc : public sim::SimObject, public pcie::PcieNode
      */
     std::set<std::uint8_t> recentCompleted_;
 
-    /** Upstream ARQ channels, keyed by tenant requester ID. */
-    std::map<std::uint16_t, TxChannel> upTx_;
-    /** Highest in-order seqNo accepted per downstream ARQ channel. */
-    std::map<std::uint16_t, std::uint64_t> rxSeqDown_;
+    /** Upstream ARQ senders, keyed by tenant requester ID. */
+    std::map<std::uint16_t, pcie::GbnSender> upSenders_;
 
     /** Per-direction egress FIFO points. */
     Tick upBusyUntil_ = 0;
@@ -347,13 +324,6 @@ class PcieSc : public sim::SimObject, public pcie::PcieNode
         obs::CounterHandle unknownOwnWrites;
         obs::CounterHandle d2hReplays;
         obs::CounterHandle d2hReplayMisses;
-        obs::CounterHandle transportRxDuplicates;
-        obs::CounterHandle transportRxOoo;
-        obs::CounterHandle transportRxAccepted;
-        obs::CounterHandle transportAcksSent;
-        obs::CounterHandle transportNaksSent;
-        obs::CounterHandle transportRetransmits;
-        obs::CounterHandle transportTimeoutRetransmits;
         /**
          * Per-reason blocked-packet counters, indexed by
          * BlockReason and exported as blocked_<reason> (the
@@ -375,6 +345,12 @@ class PcieSc : public sim::SimObject, public pcie::PcieNode
     {
         return tracer_->trackCached(track_, name());
     }
+
+    /** Shared by the per-tenant senders, which are created lazily:
+     * resolving here registers the counters up front. */
+    pcie::GbnSender::Counters upCounters_;
+    /** In-order gate for the Adaptors' downstream ARQ channels. */
+    pcie::GbnReceiver rxDown_;
 };
 
 } // namespace ccai::sc

@@ -17,9 +17,6 @@ using backend::ChunkRecord;
 Adaptor::Handles::Handles(sim::StatGroup &g)
     : faultsRecovered(g.counterHandle("faults_recovered")),
       faultsFatal(g.counterHandle("faults_fatal")),
-      transportRetransmits(g.counterHandle("transport_retransmits")),
-      transportTimeoutRetransmits(
-          g.counterHandle("transport_timeout_retransmits")),
       policyUpdates(g.counterHandle("policy_updates")),
       signedWrites(g.counterHandle("signed_writes")),
       h2dChunks(g.counterHandle("h2d_chunks")),
@@ -31,6 +28,7 @@ Adaptor::Handles::Handles(sim::StatGroup &g)
       recordFetchIncomplete(
           g.counterHandle("record_fetch_incomplete")),
       recordFetchRetries(g.counterHandle("record_fetch_retries")),
+      recordFetchAborts(g.counterHandle("record_fetch_aborts")),
       d2hIntegrityFailures(
           g.counterHandle("d2h_integrity_failures")),
       d2hChunkRetries(g.counterHandle("d2h_chunk_retries")),
@@ -51,134 +49,32 @@ Adaptor::Adaptor(sim::System &sys, std::string name, Tvm &tvm,
                  const AdaptorTiming &timing)
     : sim::SimObject(sys, std::move(name)), tvm_(tvm), config_(config),
       timing_(timing), stats_(sys.metrics(), this->name()),
-      s_(stats_), tracer_(&sys.tracer())
+      s_(stats_), tracer_(&sys.tracer()),
+      tx_(*this, config_.retry, tvm_.bdf().raw(),
+          pcie::GbnSender::Counters(stats_),
+          [this](const pcie::TlpPtr &tlp) {
+              tvm_.rootComplex().sendWrite(tlp);
+          })
 {
     // Consume transport acks for this tenant's ARQ channel. The
     // handler is registered unconditionally (it is inert while
     // retries are disabled) so enabling retries via setConfig works.
     tvm_.rootComplex().addTransportHandler(
-        tvm_.bdf().raw(),
-        [this](const pcie::TransportAck &ack) {
-            handleTransportAck(ack);
+        tvm_.bdf().raw(), [this](const pcie::TransportAck &ack) {
+            if (retryEnabled())
+                tx_.onAck(ack);
         });
 }
 
 void
 Adaptor::sendTransported(pcie::Tlp tlp, bool sign)
 {
-    tlp.seqNo = nextSeqNo_++;
-    if (retryEnabled()) {
-        tlp.ackRequired = true;
-        tlp.txChannel = tvm_.bdf().raw();
-    }
+    tx_.stamp(tlp);
     if (sign && signer_.hasKey())
         tlp.integrityTag = signer_.computeMac(tlp);
     auto ptr = std::make_shared<pcie::Tlp>(std::move(tlp));
-    if (retryEnabled()) {
-        txUnacked_.push_back(ptr);
-        if (txUnacked_.size() == 1)
-            armTxTimer();
-    }
+    tx_.send(ptr);
     tvm_.rootComplex().sendWrite(ptr);
-}
-
-void
-Adaptor::handleTransportAck(const pcie::TransportAck &ack)
-{
-    if (!retryEnabled())
-        return;
-    if (ack.nak) {
-        goBackN(ack.seq);
-        return;
-    }
-    std::size_t before = txUnacked_.size();
-    while (!txUnacked_.empty() &&
-           txUnacked_.front()->seqNo <= ack.seq) {
-        txUnacked_.pop_front();
-    }
-    std::size_t popped = before - txUnacked_.size();
-    if (popped == 0)
-        return; // stale cumulative ack
-    if (txDirty_)
-        s_.faultsRecovered.inc(popped);
-    txAttempts_ = 0;
-    if (txUnacked_.empty()) {
-        txDirty_ = false;
-        retireTxTimer();
-    } else {
-        armTxTimer();
-    }
-}
-
-void
-Adaptor::goBackN(std::uint64_t fromSeq)
-{
-    // One go-back-N round per gap, not one per NAK behind the gap.
-    if (lastGoBack_ != 0 &&
-        curTick() - lastGoBack_ < config_.retry.retransmitGap)
-        return;
-    lastGoBack_ = curTick();
-    std::uint64_t n = 0;
-    for (const auto &p : txUnacked_) {
-        if (p->seqNo >= fromSeq) {
-            tvm_.rootComplex().sendWrite(p);
-            ++n;
-        }
-    }
-    if (n) {
-        txDirty_ = true;
-        s_.transportRetransmits.inc(n);
-        if (tracer_->enabled())
-            tracer_->instant(traceTrack(), "arq.go_back_n", curTick());
-    }
-}
-
-void
-Adaptor::armTxTimer()
-{
-    if (!txTimerInit_) {
-        txTimer_.setCallback([this] { onTxTimeout(); },
-                             "adaptor-tx-timeout");
-        txTimerInit_ = true;
-    }
-    Tick timeout = config_.retry.timeoutFor(config_.retry.ackTimeout,
-                                            txAttempts_);
-    eventq().rescheduleIn(&txTimer_, timeout);
-}
-
-void
-Adaptor::retireTxTimer()
-{
-    if (txTimer_.scheduled())
-        eventq().deschedule(&txTimer_);
-}
-
-void
-Adaptor::onTxTimeout()
-{
-    if (txUnacked_.empty())
-        return;
-    if (txAttempts_ >= config_.retry.maxRetries) {
-        s_.faultsFatal.inc(txUnacked_.size());
-        warnRateLimited(
-            "adaptor-tx-exhausted",
-            "%s: %zu transported writes exhausted the retry "
-            "budget",
-            name().c_str(), txUnacked_.size());
-        txUnacked_.clear();
-        txAttempts_ = 0;
-        txDirty_ = false;
-        return;
-    }
-    ++txAttempts_;
-    txDirty_ = true;
-    s_.transportTimeoutRetransmits.inc();
-    if (tracer_->enabled())
-        tracer_->instant(traceTrack(), "arq.timeout_retx",
-                         curTick());
-    for (const auto &p : txUnacked_)
-        tvm_.rootComplex().sendWrite(p);
-    armTxTimer();
 }
 
 void
@@ -209,12 +105,7 @@ Adaptor::establishSession(const Bytes &sessionSecret)
     // the SC resets its per-tenant receive gate in establishTenant,
     // so the sender window must restart at seqNo 1 or every write
     // of the new session would be NAKed as out-of-order.
-    nextSeqNo_ = 1;
-    txUnacked_.clear();
-    txAttempts_ = 0;
-    txDirty_ = false;
-    retireTxTimer();
-    lastGoBack_ = 0;
+    tx_.restart();
     ++sessionEpoch_;
     // The controller resets the tenant's completion ring in
     // establishTenant; mirror the consumed index here or the first
@@ -233,11 +124,7 @@ Adaptor::abortSession()
     drbg_.reset();
     // Unacked writes belong to the dead session; replaying them
     // under a new session would be rejected (stale MACs) anyway.
-    txUnacked_.clear();
-    txAttempts_ = 0;
-    txDirty_ = false;
-    retireTxTimer();
-    lastGoBack_ = 0;
+    tx_.clear();
     ++sessionEpoch_;
 }
 
@@ -846,9 +733,17 @@ Adaptor::fetchRecordsBatched(
     tvm_.mmioRead(
         mm::kScMmio.base + mm::screg::kRecordCount, 8,
         [this, done = std::move(done)](Bytes payload) {
-            std::uint64_t tail =
-                payload.size() >= 8 ? loadLe64(payload.data()) : 0;
             s_.ioReads.inc(1);
+            // An exhausted read completes as an abort with no data;
+            // a tail behind the consumed index is stale. Reap nothing
+            // and let the collect's re-fetch loop retry.
+            if (payload.size() < 8 ||
+                loadLe64(payload.data()) < metaHead_) {
+                s_.recordFetchAborts.inc();
+                done({});
+                return;
+            }
+            const std::uint64_t tail = loadLe64(payload.data());
 
             const pcie::AddrRange win = config_.metaWindow;
             const std::uint64_t nslots =
@@ -927,9 +822,16 @@ Adaptor::fetchOneRecordMmio(
                   [this, index, count, acc = std::move(acc),
                    done = std::move(done)](Bytes payload) mutable {
                       s_.ioReads.inc(1);
-                      acc.push_back(ChunkRecord::deserialize(payload));
-                      fetchOneRecordMmio(index + 1, count,
-                                         std::move(acc),
+                      if (payload.size() != ChunkRecord::kWireBytes) {
+                          // Aborted read: release only what arrived.
+                          s_.recordFetchAborts.inc();
+                          count = index;
+                      } else {
+                          acc.push_back(
+                              ChunkRecord::deserialize(payload));
+                          ++index;
+                      }
+                      fetchOneRecordMmio(index, count, std::move(acc),
                                          std::move(done));
                   });
 }
@@ -964,21 +866,13 @@ Adaptor::endTask(bool softResetSupported)
 void
 Adaptor::reset()
 {
-    keys_.reset();
-    configCipher_.reset();
-    drbg_.reset();
+    abortSession(); // also retires queued CPU continuations
     h2dCursor_ = d2hCursor_ = 0;
     nextChunkId_ = 1;
-    nextSeqNo_ = 1;
     metaHead_ = 0;
     metaPending_.clear();
     cpuBusyUntil_ = 0;
-    txUnacked_.clear();
-    txAttempts_ = 0;
-    txDirty_ = false;
-    retireTxTimer();
-    lastGoBack_ = 0;
-    ++sessionEpoch_; // retire queued CPU continuations
+    tx_.restart();
     stats_.reset();
 }
 

@@ -17,7 +17,6 @@
 #ifndef CCAI_TVM_ADAPTOR_HH
 #define CCAI_TVM_ADAPTOR_HH
 
-#include <deque>
 #include <functional>
 #include <optional>
 
@@ -264,11 +263,6 @@ class Adaptor : public sim::SimObject
      * verification).
      */
     void sendTransported(pcie::Tlp tlp, bool sign);
-    void handleTransportAck(const pcie::TransportAck &ack);
-    void goBackN(std::uint64_t fromSeq);
-    void armTxTimer();
-    void onTxTimeout();
-    void retireTxTimer();
 
     void fetchForCollect(std::shared_ptr<CollectState> st);
     void finishCollect(std::shared_ptr<CollectState> st);
@@ -300,7 +294,6 @@ class Adaptor : public sim::SimObject
     Addr h2dCursor_ = 0;
     Addr d2hCursor_ = 0;
     std::uint64_t nextChunkId_ = 1;
-    std::uint64_t nextSeqNo_ = 1;
     /** Completion ring: absolute consumed-record index (mirrors the
      * controller's metaHead; posted back via screg::kRingHead). */
     std::uint64_t metaHead_ = 0;
@@ -313,15 +306,6 @@ class Adaptor : public sim::SimObject
      */
     std::vector<backend::ChunkRecord> metaPending_;
     Tick cpuBusyUntil_ = 0;
-
-    /** Downstream ARQ sender window (writes awaiting the SC's ack). */
-    std::deque<pcie::TlpPtr> txUnacked_;
-    int txAttempts_ = 0;
-    bool txDirty_ = false; ///< a retransmission is in flight
-    /** Owned ack timer, re-armed in place (no allocation). */
-    sim::EventFunctionWrapper txTimer_;
-    bool txTimerInit_ = false;
-    Tick lastGoBack_ = 0;
 
     /**
      * Bumped on every establishSession()/abortSession(). CPU-side
@@ -346,8 +330,6 @@ class Adaptor : public sim::SimObject
 
         obs::CounterHandle faultsRecovered;
         obs::CounterHandle faultsFatal;
-        obs::CounterHandle transportRetransmits;
-        obs::CounterHandle transportTimeoutRetransmits;
         obs::CounterHandle policyUpdates;
         obs::CounterHandle signedWrites;
         obs::CounterHandle h2dChunks;
@@ -358,6 +340,8 @@ class Adaptor : public sim::SimObject
         obs::CounterHandle vendorMessages;
         obs::CounterHandle recordFetchIncomplete;
         obs::CounterHandle recordFetchRetries;
+        /** Record fetches whose read came back aborted or stale. */
+        obs::CounterHandle recordFetchAborts;
         obs::CounterHandle d2hIntegrityFailures;
         obs::CounterHandle d2hChunkRetries;
         obs::CounterHandle tasksEnded;
@@ -378,6 +362,9 @@ class Adaptor : public sim::SimObject
 
     obs::Tracer *tracer_;
     obs::TrackId track_ = obs::kNoTrack;
+
+    /** Downstream ARQ sender (writes awaiting the SC's ack). */
+    pcie::GbnSender tx_;
 
     /** This adaptor's trace track (lazily named after the object). */
     obs::TrackId

@@ -59,6 +59,27 @@ TEST(WorkerPool, WidthBeyondWorkersStillCompletes)
     EXPECT_GE(pool.workerRanges(), 1u);
 }
 
+TEST(WorkerPool, BackToBackTinyBatchesRetireCleanly)
+{
+    // Each batch's shared state lives on the dispatcher's stack, and
+    // the next batch reuses that stack as soon as the dispatcher
+    // returns. Many tiny batches at width 4 make a worker that still
+    // touches a retired batch likely; the TSan and ASan jobs flag it.
+    WorkerPool pool(4);
+    std::atomic<std::uint64_t> sum{0};
+    const int kRounds = 2000;
+    for (int round = 0; round < kRounds; ++round) {
+        pool.parallelFor(4, 4, [&](std::size_t i) { sum += i; });
+        pool.runJobs(
+            4, 4, [&](std::size_t i) { sum += i; },
+            [](std::size_t) {});
+    }
+    // 0+1+2+3 per batch, two batches per round.
+    EXPECT_EQ(sum, 12ull * kRounds);
+    EXPECT_EQ(pool.parallelBatches(), std::uint64_t(kRounds));
+    EXPECT_EQ(pool.jobBatches(), std::uint64_t(kRounds));
+}
+
 TEST(WorkerPool, NestedDispatchFromLaneZeroWorks)
 {
     // The Adaptor parallelizes across chunks and, for a single

@@ -203,3 +203,61 @@ TEST_F(FaultSoak, KernelLaunchSurvivesLossyFabric)
     EXPECT_EQ(p.xpu().stats().counterHandle("kernels").value(), 1u);
     EXPECT_EQ(p.system().sumCounter("faults_fatal"), 0u);
 }
+
+TEST(ExhaustedRead, AbortedRecordFetchIsCountedNotFatal)
+{
+    // When the root complex gives up on a read it completes it with
+    // an empty abort. A D2H collect whose record fetch gets one must
+    // count the failed fetch and end as a counted incomplete collect:
+    // batched, the record-count read after an earlier reap must not
+    // be taken for a ring tail of 0 (below the consumed index);
+    // per-record, an empty record must not be deserialized.
+    for (bool batched : {true, false}) {
+        SCOPED_TRACE(batched ? "batched" : "per-record");
+        PlatformConfig cfg;
+        cfg.secure = true;
+        cfg.attachBusTap = true;
+        cfg.retry.maxReadRetries = 0;
+        cfg.adaptorConfig.batchMetadataReads = batched;
+        cfg.scConfig.metadataBatching = batched;
+        Platform p(cfg);
+        ASSERT_TRUE(p.establishTrust().ok());
+
+        Bytes secret = sim::Rng(3).bytes(16 * kKiB);
+        p.runtime().memcpyH2D(mm::kXpuVram.base, secret, secret.size(),
+                              [] {});
+        p.run();
+        Bytes got;
+        p.runtime().memcpyD2H(mm::kXpuVram.base, secret.size(), false,
+                              [&](Bytes d) { got = std::move(d); });
+        p.run();
+        ASSERT_EQ(got, secret); // batched: the ring head is now past 0
+
+        // Drop the controller's record-count (batched) or record
+        // (per-record) completions: that read exhausts its zero-retry
+        // budget.
+        const std::size_t dropBytes =
+            batched ? 8 : backend::ChunkRecord::kWireBytes;
+        attack::BusTap &tap = *p.busTap();
+        tap.setMode(attack::TapMode::Drop);
+        tap.setTargetFilter([dropBytes](const Tlp &tlp) {
+            return tlp.type == TlpType::Completion &&
+                   tlp.completer == wellknown::kPcieSc &&
+                   tlp.data.size() == dropBytes;
+        });
+        bool done = false;
+        EXPECT_NO_THROW({
+            p.runtime().memcpyD2H(mm::kXpuVram.base, secret.size(),
+                                  false, [&](Bytes d) {
+                                      done = true;
+                                      got = std::move(d);
+                                  });
+            p.run();
+        });
+        EXPECT_TRUE(done);
+        EXPECT_NE(got, secret);
+        EXPECT_GE(p.system().sumCounter("read_retry_exhausted"), 1u);
+        EXPECT_GE(p.system().sumCounter("record_fetch_aborts"), 1u);
+        EXPECT_GE(p.system().sumCounter("record_fetch_incomplete"), 1u);
+    }
+}
