@@ -2,7 +2,8 @@
  * @file
  * Google-benchmark microbenchmarks of the crypto substrate: AES
  * block throughput, AES-GCM seal/open across payload sizes, SHA-256
- * and HMAC throughput, and DH/attestation signing costs. These are
+ * (dispatched and scalar-forced) and HMAC throughput, the keyed A3
+ * MAC, and DH/attestation signing costs. These are
  * host-side (wall-clock) measurements of the functional crypto the
  * simulation uses — not simulated-time measurements.
  *
@@ -17,6 +18,7 @@
 #include <cstring>
 #include <vector>
 
+#include "crypto/cpu_features.hh"
 #include "crypto/dh.hh"
 #include "crypto/gcm.hh"
 #include "crypto/sha256.hh"
@@ -81,6 +83,23 @@ BM_Sha256(benchmark::State &state)
 }
 BENCHMARK(BM_Sha256)->Range(64, 64 * 1024);
 
+/** BM_Sha256 with the scalar compress forced (the CCAI_NO_SIMD path). */
+static void
+BM_Sha256Scalar(benchmark::State &state)
+{
+    crypto::overrideSimdTierForTest(
+        static_cast<int>(crypto::SimdTier::kNone));
+    sim::Rng rng(4);
+    Bytes payload = rng.bytes(state.range(0));
+    for (auto _ : state) {
+        Bytes digest = crypto::Sha256::digest(payload);
+        benchmark::DoNotOptimize(digest);
+    }
+    state.SetBytesProcessed(state.iterations() * state.range(0));
+    crypto::overrideSimdTierForTest(-1);
+}
+BENCHMARK(BM_Sha256Scalar)->Range(64, 64 * 1024);
+
 static void
 BM_HmacSha256(benchmark::State &state)
 {
@@ -93,7 +112,31 @@ BM_HmacSha256(benchmark::State &state)
     }
     state.SetBytesProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_HmacSha256)->Range(64, 4096);
+BENCHMARK(BM_HmacSha256)->Arg(40)->Range(64, 4096);
+
+/**
+ * The A3 signed-MMIO MAC as SignIntegrityEngine computes it: cached
+ * pad midstates, a 32-byte serialized header plus 8 data bytes fed
+ * separately, tag truncated to 16 bytes.
+ */
+static void
+BM_HmacSha256Keyed(benchmark::State &state)
+{
+    sim::Rng rng(5);
+    crypto::HmacSha256 keyed(rng.bytes(32));
+    Bytes header = rng.bytes(32);
+    Bytes data = rng.bytes(8);
+    std::uint8_t mac[crypto::kSha256DigestSize];
+    for (auto _ : state) {
+        crypto::Sha256 h = keyed.begin();
+        h.update(header);
+        h.update(data);
+        keyed.finish(h, mac);
+        benchmark::DoNotOptimize(mac);
+    }
+    state.SetBytesProcessed(state.iterations() * 40);
+}
+BENCHMARK(BM_HmacSha256Keyed);
 
 static void
 BM_DhKeyExchange(benchmark::State &state)
@@ -141,6 +184,9 @@ main(int argc, char **argv)
 
     int count = static_cast<int>(args.size());
     benchmark::Initialize(&count, args.data());
+    benchmark::AddCustomContext("simd_tier",
+                                crypto::simdTierName(crypto::simdTier()));
+    benchmark::AddCustomContext("sha256_impl", crypto::sha256ImplName());
     if (benchmark::ReportUnrecognizedArguments(count, args.data()))
         return 1;
     benchmark::RunSpecifiedBenchmarks();

@@ -1,7 +1,8 @@
 #include "backend/integrity.hh"
 
+#include <cstring>
+
 #include "common/bytes_util.hh"
-#include "crypto/sha256.hh"
 
 namespace ccai::backend
 {
@@ -9,29 +10,45 @@ namespace ccai::backend
 Bytes
 SignIntegrityEngine::computeMac(const pcie::Tlp &tlp) const
 {
-    Bytes message = tlp.serializeHeader();
+    Bytes tag(kMacBytes);
+    writeMac(tlp, tag.data());
+    return tag;
+}
+
+void
+SignIntegrityEngine::writeMac(const pcie::Tlp &tlp, std::uint8_t *tag) const
+{
+    std::uint8_t header[pcie::Tlp::kSerializedHeaderBytes];
+    tlp.serializeHeader(header);
+    crypto::Sha256 h = hmac_.begin();
+    h.update(header, sizeof(header));
     if (!tlp.synthetic)
-        message.insert(message.end(), tlp.data.begin(), tlp.data.end());
-    Bytes mac = crypto::hmacSha256(key_, message);
-    mac.resize(16); // truncated MAC fits a TLP prefix
-    return mac;
+        h.update(tlp.data);
+    std::uint8_t mac[crypto::kSha256DigestSize];
+    hmac_.finish(h, mac);
+    std::memcpy(tag, mac, kMacBytes);
+}
+
+bool
+SignIntegrityEngine::macMatches(const pcie::Tlp &tlp) const
+{
+    std::uint8_t expected[kMacBytes];
+    writeMac(tlp, expected);
+    return constantTimeEqual(expected, kMacBytes, tlp.integrityTag);
 }
 
 bool
 SignIntegrityEngine::verify(const pcie::Tlp &tlp)
 {
-    if (key_.empty()) {
+    if (!keyed_) {
         ++failures_;
         return false;
     }
     // Synthetic bulk traffic is timing-only: the MAC bytes are not
     // materialized, so only sequence monotonicity is enforced.
-    if (!tlp.synthetic) {
-        Bytes expected = computeMac(tlp);
-        if (!constantTimeEqual(expected, tlp.integrityTag)) {
-            ++failures_;
-            return false;
-        }
+    if (!tlp.synthetic && !macMatches(tlp)) {
+        ++failures_;
+        return false;
     }
     std::uint64_t &last = lastSeq_[tlp.requester.raw()];
     if (tlp.seqNo <= last) {
@@ -45,12 +62,11 @@ SignIntegrityEngine::verify(const pcie::Tlp &tlp)
 bool
 SignIntegrityEngine::verifyMac(const pcie::Tlp &tlp) const
 {
-    if (key_.empty())
+    if (!keyed_)
         return false;
     if (tlp.synthetic)
         return true; // timing-only traffic carries no MAC bytes
-    Bytes expected = computeMac(tlp);
-    return constantTimeEqual(expected, tlp.integrityTag);
+    return macMatches(tlp);
 }
 
 Tick

@@ -13,6 +13,7 @@
 #include <map>
 
 #include "common/types.hh"
+#include "crypto/sha256.hh"
 #include "pcie/tlp.hh"
 
 namespace ccai::backend
@@ -36,8 +37,10 @@ struct EngineTiming
 
 /**
  * Sign-based integrity engine for A3 packets: HMAC-SHA256 over
- * (header || payload) keyed with the session integrity key, plus a
- * monotonic per-requester sequence check against reordering/replay.
+ * (header || payload) keyed with the session integrity key, truncated
+ * to kMacBytes, plus a monotonic per-requester sequence check against
+ * reordering/replay. The keyed hasher (pad midstates) is built once
+ * per setKey().
  */
 class SignIntegrityEngine
 {
@@ -46,8 +49,18 @@ class SignIntegrityEngine
         : timing_(timing)
     {}
 
-    void setKey(const Bytes &key) { key_ = key; }
-    bool hasKey() const { return !key_.empty(); }
+    /** Truncated MAC length: fits a TLP prefix. */
+    static constexpr size_t kMacBytes = 16;
+
+    /** Install (or, on session re-establish, replace) the key. An
+     * empty key leaves the engine unkeyed: every check fails. */
+    void
+    setKey(const Bytes &key)
+    {
+        keyed_ = !key.empty();
+        hmac_ = crypto::HmacSha256(key);
+    }
+    bool hasKey() const { return keyed_; }
 
     /** Compute the MAC an A3 packet must carry. */
     Bytes computeMac(const pcie::Tlp &tlp) const;
@@ -71,8 +84,14 @@ class SignIntegrityEngine
     std::uint64_t failures() const { return failures_; }
 
   private:
+    /** computeMac() into @p tag (kMacBytes), allocation-free. */
+    void writeMac(const pcie::Tlp &tlp, std::uint8_t *tag) const;
+    /** Tag check shared by verify() and verifyMac(). */
+    bool macMatches(const pcie::Tlp &tlp) const;
+
     EngineTiming timing_;
-    Bytes key_;
+    bool keyed_ = false;
+    crypto::HmacSha256 hmac_;
     std::map<std::uint16_t, std::uint64_t> lastSeq_;
     std::uint64_t failures_ = 0;
 };

@@ -129,10 +129,16 @@ storeLe64(std::uint8_t *p, std::uint64_t v)
 bool
 constantTimeEqual(const Bytes &a, const Bytes &b)
 {
-    if (a.size() != b.size())
+    return constantTimeEqual(a.data(), a.size(), b);
+}
+
+bool
+constantTimeEqual(const std::uint8_t *a, size_t aLen, const Bytes &b)
+{
+    if (aLen != b.size())
         return false;
     std::uint8_t diff = 0;
-    for (size_t i = 0; i < a.size(); ++i)
+    for (size_t i = 0; i < aLen; ++i)
         diff |= static_cast<std::uint8_t>(a[i] ^ b[i]);
     return diff == 0;
 }

@@ -51,6 +51,8 @@ void storeLe64(std::uint8_t *p, std::uint64_t v);
  * exit so that tag comparisons match real-hardware semantics).
  */
 bool constantTimeEqual(const Bytes &a, const Bytes &b);
+/** Same check of the @p aLen bytes at @p a against @p b. */
+bool constantTimeEqual(const std::uint8_t *a, size_t aLen, const Bytes &b);
 
 /** XOR b into a (sizes must match). */
 void xorInto(Bytes &a, const Bytes &b);

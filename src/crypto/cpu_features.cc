@@ -7,12 +7,15 @@
 #include <cpuid.h>
 #endif
 
-// Older cpuid.h headers miss the leaf-7 ECX crypto bits.
+// Older cpuid.h headers miss some leaf-7 crypto bits.
 #ifndef bit_VAES
 #define bit_VAES (1 << 9)
 #endif
 #ifndef bit_VPCLMULQDQ
 #define bit_VPCLMULQDQ (1 << 10)
+#endif
+#ifndef bit_SHA
+#define bit_SHA (1 << 29)
 #endif
 
 namespace ccai::crypto
@@ -49,6 +52,7 @@ probe()
         f.avx2 = ymmOs && (ebx7 & bit_AVX2) != 0;
         f.vaes = ymmOs && (ecx7 & bit_VAES) != 0;
         f.vpclmulqdq = ymmOs && (ecx7 & bit_VPCLMULQDQ) != 0;
+        f.sha = (ebx7 & bit_SHA) != 0;
     }
 #endif
     return f;

@@ -1,13 +1,14 @@
 /**
  * @file
- * Runtime CPU feature probe for the SIMD GCM dispatch.
+ * Runtime CPU feature probe for the crypto SIMD dispatch.
  *
- * The secure data plane picks its crypto kernels once per process:
- * cpuid decides whether the AES-NI/PCLMULQDQ (and, where present,
- * VAES/VPCLMULQDQ) paths are usable, and `CCAI_NO_SIMD=1` forces the
- * table-driven portable fallback for CI parity runs. The probe is
- * cached; the answer never changes mid-run except through the test
- * override hook.
+ * The secure path picks its crypto kernels once per process: cpuid
+ * decides whether the AES-NI/PCLMULQDQ (and, where present,
+ * VAES/VPCLMULQDQ) GCM paths and the SHA-NI SHA-256 compress are
+ * usable, and `CCAI_NO_SIMD=1` forces the portable fallbacks (table
+ * GCM, scalar SHA-256) for CI parity runs. The probe is cached; the
+ * answer never changes mid-run except through the test override
+ * hook.
  */
 
 #ifndef CCAI_CRYPTO_CPU_FEATURES_HH
@@ -16,7 +17,7 @@
 namespace ccai::crypto
 {
 
-/** Raw cpuid feature bits the GCM dispatch cares about. */
+/** Raw cpuid feature bits the crypto dispatch cares about. */
 struct CpuFeatures
 {
     bool ssse3 = false;
@@ -26,6 +27,7 @@ struct CpuFeatures
     bool avx2 = false;       ///< includes OS YMM-state support
     bool vaes = false;       ///< includes OS YMM-state support
     bool vpclmulqdq = false; ///< includes OS YMM-state support
+    bool sha = false;        ///< SHA-NI (leaf 7, EBX bit 29)
 };
 
 /** Cached cpuid probe (all-false on non-x86 builds). */
@@ -42,14 +44,15 @@ enum class SimdTier
 /**
  * Selected tier: cpuid capabilities gated by `CCAI_NO_SIMD` (any
  * non-empty value other than "0" disables SIMD). Cached after first
- * call; the test override below bypasses the cache.
+ * call; the test override below bypasses the cache. SHA-256 uses its
+ * SHA-NI compress at any tier above kNone when `sha` is set.
  */
 SimdTier simdTier();
 
 /**
  * Test hook: force a tier (pass the SimdTier as an int) or clear the
- * override with -1. Ciphers constructed while an override is active
- * bake the overridden tier into their dispatch context.
+ * override with -1. Ciphers and hashers constructed while an override
+ * is active bake the overridden tier into their dispatch context.
  */
 void overrideSimdTierForTest(int tier);
 

@@ -189,7 +189,14 @@ tlpTypeName(TlpType type)
 Bytes
 Tlp::serializeHeader() const
 {
-    Bytes out(32, 0);
+    Bytes out(kSerializedHeaderBytes);
+    serializeHeader(out.data());
+    return out;
+}
+
+void
+Tlp::serializeHeader(std::uint8_t *out) const
+{
     out[0] = static_cast<std::uint8_t>(fmt);
     out[1] = static_cast<std::uint8_t>(type);
     out[2] = static_cast<std::uint8_t>(requester.raw() >> 8);
@@ -198,14 +205,13 @@ Tlp::serializeHeader() const
     out[5] = static_cast<std::uint8_t>(completer.raw());
     out[6] = tag;
     out[7] = static_cast<std::uint8_t>(cplStatus);
-    storeBe64(out.data() + 8, address);
-    storeBe32(out.data() + 16, lengthBytes);
-    storeBe64(out.data() + 20, seqNo);
+    storeBe64(out + 8, address);
+    storeBe32(out + 16, lengthBytes);
+    storeBe64(out + 20, seqNo);
     out[28] = static_cast<std::uint8_t>(msgCode);
     out[29] = ackRequired ? 1 : 0;
     out[30] = static_cast<std::uint8_t>(txChannel >> 8);
     out[31] = static_cast<std::uint8_t>(txChannel);
-    return out;
 }
 
 std::string

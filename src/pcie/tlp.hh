@@ -209,8 +209,13 @@ struct Tlp
      */
     TlpAnomaly headerAnomaly() const;
 
+    /** Size of serializeHeader()'s output. */
+    static constexpr std::size_t kSerializedHeaderBytes = 32;
+
     /** Serialize header fields for integrity binding (AAD). */
     Bytes serializeHeader() const;
+    /** Same bytes, written to @p out (kSerializedHeaderBytes). */
+    void serializeHeader(std::uint8_t *out) const;
 
     std::string toString() const;
 

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/bytes_util.hh"
 #include "crypto/sha256.hh"
 #include "sc/control_panels.hh"
 #include "sc/engines.hh"
@@ -327,6 +328,96 @@ TEST(SignIntegrityEngine, NoKeyFailsClosed)
     SignIntegrityEngine verifier;
     Tlp tlp = Tlp::makeMemWrite(wellknown::kTvm, 0x0, Bytes{1});
     EXPECT_FALSE(verifier.verify(tlp));
+}
+
+namespace
+{
+
+/** A signed MMIO doorbell write as the Adaptor emits it: 32-byte
+ * header plus 8 data bytes, on an ARQ channel. */
+Tlp
+goldenDoorbell()
+{
+    Tlp tlp = Tlp::makeMemWrite(
+        wellknown::kTvm, mm::kXpuMmio.base + 0x140,
+        Bytes{0x11, 0x22, 0x33, 0x44, 0x55, 0x66, 0x77, 0x88});
+    tlp.tag = 9;
+    tlp.seqNo = 42;
+    tlp.ackRequired = true;
+    tlp.txChannel = 3;
+    return tlp;
+}
+
+Bytes
+countingKey(std::uint8_t first)
+{
+    Bytes key(32);
+    for (size_t i = 0; i < key.size(); ++i)
+        key[i] = static_cast<std::uint8_t>(first + i);
+    return key;
+}
+
+} // namespace
+
+// The A3 tag bytes are part of the wire contract: any change to the
+// MAC construction must show up here, not as a silent re-key.
+TEST(SignIntegrityEngine, GoldenTagPinned)
+{
+    SignIntegrityEngine signer;
+    signer.setKey(countingKey(0));
+    Tlp tlp = goldenDoorbell();
+    EXPECT_EQ(toHex(signer.computeMac(tlp)),
+              "9b6e05efbb4681ffa19349fba17784d2");
+    tlp.integrityTag = signer.computeMac(tlp);
+    EXPECT_TRUE(signer.verifyMac(tlp));
+}
+
+TEST(SignIntegrityEngine, RekeyReplacesKey)
+{
+    Bytes k1 = countingKey(0), k2 = countingKey(0x80);
+    SignIntegrityEngine engine;
+    engine.setKey(k1);
+    Tlp tlp = goldenDoorbell();
+    tlp.integrityTag = engine.computeMac(tlp);
+    ASSERT_TRUE(engine.verifyMac(tlp));
+
+    engine.setKey(k2); // session re-established
+    EXPECT_FALSE(engine.verifyMac(tlp)) << "k1 tag must not verify";
+
+    SignIntegrityEngine fresh;
+    fresh.setKey(k2);
+    EXPECT_EQ(engine.computeMac(tlp), fresh.computeMac(tlp));
+    tlp.integrityTag = engine.computeMac(tlp);
+    EXPECT_TRUE(engine.verifyMac(tlp));
+    EXPECT_TRUE(engine.verify(tlp));
+}
+
+TEST(SignIntegrityEngine, UnkeyedFailsClosedEvenWithValidTag)
+{
+    SignIntegrityEngine signer, verifier;
+    signer.setKey(countingKey(0));
+    Tlp tlp = goldenDoorbell();
+    tlp.integrityTag = signer.computeMac(tlp);
+    EXPECT_FALSE(verifier.hasKey());
+    EXPECT_FALSE(verifier.verifyMac(tlp));
+    EXPECT_FALSE(verifier.verify(tlp));
+    EXPECT_EQ(verifier.failures(), 1u);
+
+    verifier.setKey(Bytes{}); // an empty key stays unkeyed
+    EXPECT_FALSE(verifier.hasKey());
+    EXPECT_FALSE(verifier.verifyMac(tlp));
+}
+
+TEST(SignIntegrityEngine, SyntheticSkipsMac)
+{
+    SignIntegrityEngine verifier;
+    verifier.setKey(countingKey(0));
+    Tlp tlp = Tlp::makeMemWriteSynthetic(wellknown::kTvm,
+                                         mm::kXpuMmio.base, 4096);
+    tlp.seqNo = 1; // no integrityTag bytes at all
+    EXPECT_TRUE(verifier.verifyMac(tlp));
+    EXPECT_TRUE(verifier.verify(tlp));
+    EXPECT_FALSE(verifier.verify(tlp)) << "sequence still enforced";
 }
 
 // ---------------------------------------------------------------------
