@@ -25,14 +25,16 @@ fig8-llama2-transfer-mix (bench_pipeline_parallel)
 metric "serve_fleet" (bench_serve_fleet)
     Three gates, per tenant count present in the baseline:
 
-      1. speedup_10k >= 10.0 in the CURRENT run: the timer-wheel
-         event kernel must dispatch the 10k-tenant mix at least 10x
-         faster (wall clock) than the legacy binary-heap kernel.
+      1. speedup_10k >= 10.0 in the CURRENT run: the event kernel
+         (owned, cancellable timers) must run the 10k-tenant mix at
+         least 10x faster (wall clock) than the legacy closure-heap
+         kernel.
       2. Determinism: issued / completed / slo_misses /
          events_dispatched / sim_seconds in the serve sweep must
          match the baseline exactly. These are seeded sim outputs —
          any drift means the event core reordered something.
-      3. Throughput floor: wheel_events_per_sec (kernel gate) and
+      3. Throughput floor: wheel_events_per_sec (the event-kernel
+         side of the kernel gate; the key predates the heap) and
          events_per_sec (serve sweep) must stay above --floor
          percent of the baseline (default 40%, because wall-clock
          throughput is noisy on shared CI runners).
@@ -151,12 +153,12 @@ def check_serve(current, baseline, _tolerance, floor):
         base = base_row["wheel_events_per_sec"]
         cur = cur_row["wheel_events_per_sec"]
         print(
-            f"kernel {tenants:>6} tenants: wheel {cur / 1e6:8.2f} Mev/s "
+            f"kernel {tenants:>6} tenants: {cur / 1e6:8.2f} Mev/s "
             f"(baseline {base / 1e6:.2f}, floor {floor * 100:.0f}%)"
         )
         if cur < base * floor:
             regressions.append(
-                f"kernel_gate tenants={tenants}: wheel events/sec "
+                f"kernel_gate tenants={tenants}: kernel events/sec "
                 f"{cur:.0f} below {floor * 100:.0f}% of baseline "
                 f"{base:.0f}"
             )

@@ -29,9 +29,10 @@ Checks (--bench-pipeline mode, for bench_pipeline_parallel output):
 
 Checks (--bench-serve mode, for bench_serve_fleet output):
   schema_version 2, every kernel-gate row dispatched events through
-  both kernels with the wheel dispatching strictly fewer (the legacy
-  heap pays for stale no-op cancellations; the wheel deschedules
-  them), the >= 10x wall-clock speedup gate at the largest tenant
+  both kernels with the event kernel dispatching strictly fewer (the
+  legacy heap pays for stale no-op cancellations; the event kernel
+  re-keys or deschedules them) and a positive ns-per-event cost on
+  both sides, the >= 10x wall-clock speedup gate at the largest tenant
   count, and every serve row internally consistent: completions do
   not exceed issues, SLO misses do not exceed issues, and the
   TTFT / end-to-end percentiles are monotonically ordered.
@@ -383,18 +384,21 @@ def check_bench_serve(bench_path):
             raise ValueError(f"{label}: a kernel dispatched nothing")
         if row["wheel_dispatched"] >= row["legacy_dispatched"]:
             raise ValueError(
-                f"{label}: wheel dispatched "
+                f"{label}: event kernel dispatched "
                 f"{row['wheel_dispatched']} >= legacy "
-                f"{row['legacy_dispatched']} — O(1) deschedule is "
+                f"{row['legacy_dispatched']} — deschedule is "
                 "not eliding the stale no-op dispatches"
             )
         if row["speedup"] <= 0:
             raise ValueError(f"{label}: non-positive speedup")
+        for key in ("legacy_ns_per_event", "kernel_ns_per_event"):
+            if not row.get(key, 0) > 0:
+                raise ValueError(f"{label}: {key} missing or not positive")
     speedup = bench.get("speedup_10k", 0.0)
     if speedup < 10.0:
         raise ValueError(
             f"bench: speedup_10k {speedup:.2f}x < 10.00x — the "
-            "timer-wheel kernel gate failed"
+            "event-kernel gate failed"
         )
 
     serve_rows = bench.get("serve", [])

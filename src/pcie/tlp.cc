@@ -42,7 +42,8 @@ Tlp::Tlp(const Tlp &other)
       data(copyPayload(other.data)), synthetic(other.synthetic),
       encrypted(other.encrypted), seqNo(other.seqNo),
       authTagId(other.authTagId), ackRequired(other.ackRequired),
-      txChannel(other.txChannel), integrityTag(other.integrityTag)
+      txChannel(other.txChannel), arqResync(other.arqResync),
+      integrityTag(other.integrityTag)
 {
 }
 
@@ -209,7 +210,7 @@ Tlp::serializeHeader(std::uint8_t *out) const
     storeBe32(out + 16, lengthBytes);
     storeBe64(out + 20, seqNo);
     out[28] = static_cast<std::uint8_t>(msgCode);
-    out[29] = ackRequired ? 1 : 0;
+    out[29] = (ackRequired ? 1 : 0) | (arqResync ? 2 : 0);
     out[30] = static_cast<std::uint8_t>(txChannel >> 8);
     out[31] = static_cast<std::uint8_t>(txChannel);
 }

@@ -157,6 +157,13 @@ struct Tlp
     bool ackRequired = false;
     std::uint16_t txChannel = 0;
     /**
+     * First TLP its sender stamped after abandoning an unacked window:
+     * the receiver takes its seqNo as the channel's new base instead
+     * of waiting for the abandoned ones. Covered by serializeHeader()
+     * (bit 1 of byte 29), so unmarked headers keep their old bytes.
+     */
+    bool arqResync = false;
+    /**
      * Inline integrity MAC carried in a vendor-defined TLP prefix
      * (the paper's sign-based integrity check for A3 packets).
      */

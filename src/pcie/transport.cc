@@ -87,7 +87,7 @@ traceInstant(sim::SimObject &owner, obs::TrackId &track,
 
 } // namespace
 
-GbnSender::Counters::Counters(sim::StatGroup &g)
+GbnSender::Counters::Counters(obs::MetricGroup &g)
     : retransmits(g.counterHandle("transport_retransmits")),
       timeoutRetransmits(
           g.counterHandle("transport_timeout_retransmits")),
@@ -110,6 +110,8 @@ GbnSender::stamp(Tlp &tlp)
     if (retry_.enabled) {
         tlp.ackRequired = true;
         tlp.txChannel = channel_;
+        tlp.arqResync = resync_;
+        resync_ = false;
     }
 }
 
@@ -191,6 +193,9 @@ GbnSender::onTimeout()
         window_.clear();
         attempts_ = 0;
         dirty_ = false;
+        // The receiver still waits for the first abandoned seqNo:
+        // the next TLP tells it to move its base past the gap.
+        resync_ = true;
         return;
     }
     ++attempts_;
@@ -202,7 +207,7 @@ GbnSender::onTimeout()
     arm(owner_, timer_, retry_.timeoutFor(retry_.ackTimeout, attempts_));
 }
 
-GbnReceiver::Counters::Counters(sim::StatGroup &g)
+GbnReceiver::Counters::Counters(obs::MetricGroup &g)
     : accepted(g.counterHandle("transport_rx_accepted")),
       duplicates(g.counterHandle("transport_rx_duplicates")),
       outOfOrder(g.counterHandle("transport_rx_ooo")),
@@ -228,7 +233,7 @@ GbnReceiver::admit(const Tlp &tlp, const Accept &accept)
         reply(tlp.txChannel, rx, false);
         return Verdict::Duplicate;
     }
-    if (tlp.seqNo != rx + 1) {
+    if (tlp.seqNo != rx + 1 && !tlp.arqResync) {
         counters_.outOfOrder.inc();
         reply(tlp.txChannel, rx + 1, true);
         return Verdict::Gap;
@@ -237,6 +242,7 @@ GbnReceiver::admit(const Tlp &tlp, const Accept &accept)
         reply(tlp.txChannel, rx + 1, true);
         return Verdict::Rejected;
     }
+    // In order, or a resync past an abandoned window: the new base.
     rx = tlp.seqNo;
     counters_.accepted.inc();
     reply(tlp.txChannel, rx, false);

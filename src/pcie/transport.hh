@@ -131,7 +131,7 @@ class GbnSender
     /** Handles into the owner's stat group, under the shared names. */
     struct Counters
     {
-        explicit Counters(sim::StatGroup &g);
+        explicit Counters(obs::MetricGroup &g);
 
         obs::CounterHandle retransmits;        ///< NAK go-back resends
         obs::CounterHandle timeoutRetransmits; ///< ack timer expiries
@@ -159,6 +159,7 @@ class GbnSender
     {
         clear();
         nextSeq_ = 1;
+        resync_ = false;
     }
 
     std::size_t unacked() const { return window_.size(); }
@@ -176,6 +177,7 @@ class GbnSender
     std::deque<TlpPtr> window_;
     int attempts_ = 0;    ///< consecutive ack timeouts
     bool dirty_ = false;  ///< a resend happened since the last drain
+    bool resync_ = false; ///< mark the next stamp (window abandoned)
     Tick lastGoBack_ = 0; ///< 0: never
     sim::EventFunctionWrapper timer_;
     obs::TrackId track_ = obs::kNoTrack;
@@ -202,7 +204,7 @@ class GbnReceiver
     /** Handles into the owner's stat group, under the shared names. */
     struct Counters
     {
-        explicit Counters(sim::StatGroup &g);
+        explicit Counters(obs::MetricGroup &g);
 
         obs::CounterHandle accepted;
         obs::CounterHandle duplicates;
@@ -215,7 +217,9 @@ class GbnReceiver
                 SendAck sendAck);
 
     /** @p accept, when set, is asked before a next-in-order TLP is
-     * delivered; a refusal NAKs it without advancing. */
+     * delivered; a refusal NAKs it without advancing. A TLP marked
+     * arqResync and above the last delivered seqNo counts as next in
+     * order: its sender abandoned the ones in between. */
     Verdict admit(const Tlp &tlp, const Accept &accept = nullptr);
     /** Restart every channel (or one) at sequence number 1. */
     void clear() { rxSeq_.clear(); }

@@ -15,7 +15,7 @@
 
 #include "common/types.hh"
 #include "crypto/gcm.hh"
-#include "sim/stats.hh"
+#include "obs/metric_group.hh"
 #include "backend/chunk_record.hh"
 #include "trust/key_manager.hh"
 
@@ -82,7 +82,7 @@ class AuthTagManager
 
   private:
     std::map<std::uint64_t, Bytes> tags_;
-    sim::Counter failures_;
+    obs::Counter failures_;
 };
 
 } // namespace ccai::sc

@@ -43,7 +43,7 @@ normalized(ServeConfig config)
 
 } // namespace
 
-LoadGenerator::Handles::Handles(sim::StatGroup &g)
+LoadGenerator::Handles::Handles(obs::MetricGroup &g)
     : issued(g.counterHandle("requests_issued")),
       arrivals(g.counterHandle("requests_arrived")),
       admitted(g.counterHandle("requests_admitted")),

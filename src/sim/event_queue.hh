@@ -1,34 +1,21 @@
 /**
  * @file
- * Discrete-event simulation kernel: hierarchical timer wheel.
+ * Discrete-event simulation kernel: an indexed 4-ary min-heap.
  *
  * The queue orders callbacks by (tick, priority, sequence) — the exact
- * contract of the original priority-queue kernel (kept as
- * LegacyEventQueue, the differential-test oracle) — but stores pending
- * events in a gem5/Linux-style hierarchical timer wheel so that
- * schedule, deschedule and reschedule are O(1) and dispatch is
- * amortized O(1) per event:
+ * contract of the original priority-queue kernel, kept as
+ * LegacyEventQueue, the differential-test oracle. Each heap slot holds
+ * the event's tick, a packed (priority, sequence) key and the event
+ * pointer, so sifts compare slots without touching the events. Every
+ * event records its slot index, which makes deschedule and an in-place
+ * reschedule O(log n) with no search.
  *
- *   level 0   4096 buckets x 1 tick        (low 12 bits of the tick)
- *   level 1     64 buckets x 4096 ticks    (bits 12..17)
- *   level k     64 buckets x 2^(12+6(k-1)) (bits 12+6(k-1) ..)
- *   level 7     64 buckets x 2^48 ticks    (bits 48..53)
- *   overflow  sorted tick -> bucket map beyond 2^54 ticks (~5 sim-h)
- *
- * An event lives at the level of the most significant digit in which
- * its tick differs from the queue cursor (now + 1). Advancing time
- * cascades the then-current bucket of each level downward, so every
- * event is relinked at most once per level before it reaches the
- * level-0 bucket of its exact tick. Same-tick events are batch-sorted
- * by (priority, sequence) into the current-tick dispatch list, which
- * preserves the deterministic replay contract bit-for-bit.
- *
- * Events are intrusive (Event base class with bucket links), so
- * components own their recurring timers and re-arm them without any
- * allocation, and cancelled timers leave the queue immediately
- * instead of surviving as generation-counter no-ops. The closure API
- * (schedule(tick, std::function)) is backed by a slab freelist of
- * one-shot wrapper events, recycled after dispatch.
+ * Events are intrusive (Event base class), so components own their
+ * recurring timers and re-arm them without any allocation, and
+ * cancelled timers leave the queue immediately instead of surviving as
+ * generation-counter no-ops. The closure API (schedule(tick,
+ * std::function)) is backed by a slab freelist of one-shot wrapper
+ * events, recycled after dispatch.
  *
  * Simulated time is entirely decoupled from wall-clock time: the LLM
  * benchmarks report results in simulated seconds.
@@ -39,9 +26,7 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "common/logging.hh"
@@ -62,9 +47,9 @@ enum class EventPriority : int
 
 /**
  * Intrusive schedulable entity. Components derive from Event (or
- * embed an EventFunctionWrapper) for recurring timers: the object is
- * relinked in place on schedule/deschedule/reschedule, so re-arming
- * an ARQ or watchdog timer allocates nothing.
+ * embed an EventFunctionWrapper) for recurring timers: the heap
+ * holds a pointer to the object and re-keys it on reschedule, so
+ * re-arming an ARQ or watchdog timer allocates nothing.
  *
  * An Event may be scheduled on at most one queue at a time. If it is
  * destroyed while scheduled it deschedules itself, so component
@@ -90,7 +75,7 @@ class Event
     /** Tick this event is scheduled for (valid while scheduled). */
     Tick when() const { return when_; }
 
-    bool scheduled() const { return where_ != kUnscheduled; }
+    bool scheduled() const { return slot_ != kUnscheduled; }
 
     int priority() const { return prio_; }
 
@@ -105,19 +90,14 @@ class Event
   private:
     friend class EventQueue;
 
-    static constexpr std::int32_t kUnscheduled = -1;
-    static constexpr std::int32_t kCurList = -2;
-    static constexpr std::int32_t kOverflow = -3;
+    static constexpr std::uint32_t kUnscheduled = ~std::uint32_t(0);
 
     static constexpr std::uint8_t kManaged = 1; ///< queue-owned slab node
 
     Tick when_ = 0;
-    std::uint64_t seq_ = 0;
-    Event *prev_ = nullptr;
-    Event *next_ = nullptr;
     EventQueue *queue_ = nullptr;
-    /** kUnscheduled / kCurList / kOverflow or flat bucket index. */
-    std::int32_t where_ = kUnscheduled;
+    /** Index of this event's heap slot, or kUnscheduled. */
+    std::uint32_t slot_ = kUnscheduled;
     std::int16_t prio_;
     std::uint8_t flags_ = 0;
 };
@@ -158,9 +138,7 @@ class EventFunctionWrapper : public Event
  * Global event queue with deterministic ordering.
  *
  * Determinism: ties on (tick, priority) break on insertion sequence
- * number, so two runs with identical inputs replay identically —
- * including across wheel level boundaries and cascades, which never
- * reorder same-tick events.
+ * number, so two runs with identical inputs replay identically.
  */
 class EventQueue
 {
@@ -173,12 +151,8 @@ class EventQueue
         std::uint64_t scheduled = 0;  ///< schedule()/reschedule() calls
         std::uint64_t dispatched = 0; ///< events whose process() ran
         std::uint64_t cancelled = 0;  ///< deschedule()d before firing
-        std::uint64_t cascades = 0;   ///< event relinks between levels
         std::uint64_t pending = 0;
         std::uint64_t maxPending = 0; ///< high-watermark of pending
-        /** Per-level occupancy high-watermarks (level 0..7). */
-        std::uint64_t levelHwm[8] = {};
-        std::uint64_t overflowHwm = 0;
         /** Slab-allocated one-shot wrapper nodes (capacity). */
         std::uint64_t oneShotCapacity = 0;
         std::uint64_t oneShotLive = 0;
@@ -203,18 +177,14 @@ class EventQueue
         schedule(ev, now_ + delay);
     }
 
-    /** Remove a pending event in O(1); it simply never fires. */
+    /** Remove a pending event in O(log n); it simply never fires. */
     void deschedule(Event *ev);
 
-    /** Move a (possibly pending) event to @p when; takes a fresh
-     * sequence number, exactly as deschedule + schedule would. */
-    void
-    reschedule(Event *ev, Tick when)
-    {
-        if (ev->scheduled())
-            deschedule(ev);
-        schedule(ev, when);
-    }
+    /** Move a (possibly pending) event to @p when. It takes a fresh
+     * sequence number and is counted as one cancel plus one schedule,
+     * exactly as deschedule + schedule would be; a pending event is
+     * re-keyed in its slot instead of leaving the heap. */
+    void reschedule(Event *ev, Tick when);
 
     void
     rescheduleIn(Event *ev, Tick delay)
@@ -239,10 +209,10 @@ class EventQueue
     // ---- execution ----
 
     /** True when no events remain. */
-    bool empty() const { return pending_ == 0; }
+    bool empty() const { return heap_.empty(); }
 
     /** Number of pending events. */
-    size_t pending() const { return pending_; }
+    size_t pending() const { return heap_.size(); }
 
     /**
      * Run events until the queue drains or @p limit events have been
@@ -255,10 +225,13 @@ class EventQueue
     /** Run events up to and including tick @p until. */
     std::uint64_t runUntil(Tick until);
 
-    /** Tick of the earliest pending event (pending() must be > 0).
-     * May relink events between levels; never changes dispatch
-     * order. */
-    Tick nextEventTick();
+    /** Tick of the earliest pending event (pending() must be > 0). */
+    Tick
+    nextEventTick() const
+    {
+        ccai_assert(!heap_.empty());
+        return heap_[0].when;
+    }
 
     /** Advance time with no event processing (test helper). */
     void
@@ -269,8 +242,9 @@ class EventQueue
         now_ = to;
     }
 
-    /** Drop all pending events, release event-node slabs, and reset
-     * time, sequence numbers and statistics to zero. */
+    /** Drop all pending events, release the heap and event-node
+     * slabs, and reset time, sequence numbers and statistics to
+     * zero. */
     void reset();
 
     /**
@@ -287,7 +261,6 @@ class EventQueue
     std::uint64_t statScheduled() const { return stats_.scheduled; }
     std::uint64_t statDispatched() const { return stats_.dispatched; }
     std::uint64_t statCancelled() const { return stats_.cancelled; }
-    std::uint64_t statCascades() const { return stats_.cascades; }
     std::uint64_t statMaxPending() const { return stats_.maxPending; }
     std::uint64_t oneShotCapacity() const
     {
@@ -296,78 +269,48 @@ class EventQueue
     std::uint64_t oneShotLive() const { return liveOneShots_; }
 
   private:
-    // ---- wheel geometry ----
-    static constexpr int kL0Bits = 12;
-    static constexpr std::uint32_t kL0Buckets = 1u << kL0Bits;
-    static constexpr Tick kMask0 = kL0Buckets - 1;
-    static constexpr int kLevelBits = 6;
-    static constexpr int kUpperLevels = 7;
-    static constexpr int kLevels = kUpperLevels + 1;
-    /** Bits covered by the whole wheel; beyond lives in overflow_. */
-    static constexpr int kTopShift =
-        kL0Bits + kUpperLevels * kLevelBits;
-    static constexpr std::uint32_t kNumFlat =
-        kL0Buckets + kUpperLevels * 64;
     static constexpr std::uint32_t kSlabSize = 256;
+    /** Sequence numbers fill the low 48 bits of a slot key. */
+    static constexpr int kSeqBits = 48;
 
-    static constexpr int
-    shiftFor(int level)
+    /** One heap entry; ordered on (when, key). */
+    struct Slot
     {
-        return kL0Bits + (level - 1) * kLevelBits;
-    }
+        Tick when;
+        /** (priority + 2^15) << 48 | sequence. */
+        std::uint64_t key;
+        Event *ev;
 
-    static std::uint32_t
-    digitOf(Tick t, int level)
-    {
-        return static_cast<std::uint32_t>(t >> shiftFor(level)) & 63u;
-    }
+        bool
+        operator<(const Slot &o) const
+        {
+            return when != o.when ? when < o.when : key < o.key;
+        }
+    };
 
     class OneShotEvent;
 
-    // ---- internal linkage ----
-    void insertScheduled(Event *ev);
-    void insertCurSorted(Event *ev);
-    void removeLinked(Event *ev);
-    void cascadeBucket(int level, std::uint32_t idx);
-    bool findNext(Tick *out);
-    void serviceTick(Tick t);
-    void dispatchOne();
+    std::uint64_t nextKey(const Event *ev);
+    void place(std::size_t i, const Slot &s);
+    void siftUp(std::size_t i, Slot s);
+    void siftDown(std::size_t i, Slot s);
+    void fix(std::size_t i);
+    Event *popTop();
+    void dispatch(Event *ev);
+    void unhookAll();
 
     OneShotEvent *allocOneShot();
     void releaseOneShot(OneShotEvent *ev);
 
-    bool l0FindAtOrAfter(std::uint32_t from, std::uint32_t *out) const;
-    void l0Set(std::uint32_t idx);
-    void l0ClearIfEmpty(std::uint32_t idx);
-
     // ---- state ----
     Tick now_ = 0;
     std::uint64_t nextSeq_ = 0;
-    std::uint64_t pending_ = 0;
 
-    /** Flat bucket heads: level 0 first, then 7 x 64 upper buckets. */
-    std::vector<Event *> buckets_;
-    std::uint64_t l0Words_[kL0Buckets / 64] = {};
-    std::uint64_t l0Summary_ = 0;
-    std::uint64_t levelWord_[kUpperLevels] = {};
-    std::uint64_t levelCount_[kLevels] = {};
+    std::vector<Slot> heap_;
 
-    /** Current-tick dispatch list, sorted by (priority, sequence). */
-    Event *curHead_ = nullptr;
-    Event *curTail_ = nullptr;
-    std::uint64_t curCount_ = 0;
-
-    /** Far-future events: tick -> intrusive list head. */
-    std::map<Tick, Event *> overflow_;
-    std::uint64_t overflowCount_ = 0;
-
-    /** When set, same-tick inserts collect here for one batch sort. */
-    bool collecting_ = false;
-    std::vector<Event *> scratch_;
-
-    // One-shot wrapper slabs + freelist (chained through next_).
+    // One-shot wrapper slabs + freelist.
     std::vector<std::unique_ptr<OneShotEvent[]>> slabs_;
-    Event *freeHead_ = nullptr;
+    OneShotEvent *freeHead_ = nullptr;
     std::uint64_t liveOneShots_ = 0;
 
     Stats stats_;

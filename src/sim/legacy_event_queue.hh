@@ -1,11 +1,11 @@
 /**
  * @file
  * The seed priority-queue event kernel, kept as the differential-test
- * oracle for the timer-wheel EventQueue and as the baseline side of
+ * oracle for EventQueue and as the baseline side of
  * bench_serve_fleet's events/sec comparison.
  *
- * Two defects of the seed version are fixed here (the wheel kernel
- * never had them):
+ * Two defects of the seed version are fixed here (EventQueue never
+ * had them):
  *  - run()/runUntil() copied events_.top() — a full std::function
  *    copy per dispatched event — before popping. The binary heap is
  *    now managed explicitly with std::pop_heap so the hot event is
@@ -37,8 +37,8 @@ namespace ccai::sim
  * Deterministic min-heap of std::function callbacks — the seed
  * kernel. O(log n) schedule/dispatch, no cancellation: cancelled
  * timers must be emulated with generation-counter no-ops, which stay
- * queued until their tick arrives (exactly what the wheel kernel's
- * deschedule() eliminates).
+ * queued until their tick arrives (exactly what EventQueue's
+ * deschedule() and in-place reschedule() eliminate).
  */
 class LegacyEventQueue
 {

@@ -1,6 +1,6 @@
 /**
  * @file
- * Generic schema-v4 metrics snapshot: header, event-core rollup,
+ * Generic schema-v5 metrics snapshot: header, event-core rollup,
  * metric groups, pluggable tenants/extra sections.
  */
 
@@ -18,13 +18,13 @@ writeMetricsSnapshot(obs::JsonEmitter &json, System &sys,
                      const SnapshotSectionWriter &extraSections)
 {
     json.beginObject();
-    json.field("schema_version", 4);
+    json.field("schema_version", 5);
     json.field("source", info.source);
     json.field("seed", info.seed);
     json.field("sim_now_ticks", sys.now());
     json.field("secure", info.secure);
 
-    // Event-core rollup from the timer-wheel kernel. Deterministic:
+    // Event-core rollup from the event kernel. Deterministic:
     // schedule/dispatch/cancel counts depend only on the seeded sim,
     // never on wall clock, so the section lives outside "wall".
     {
@@ -34,17 +34,10 @@ writeMetricsSnapshot(obs::JsonEmitter &json, System &sys,
         json.field("scheduled", eq.scheduled);
         json.field("dispatched", eq.dispatched);
         json.field("cancelled", eq.cancelled);
-        json.field("cascades", eq.cascades);
         json.field("pending", eq.pending);
         json.field("max_pending", eq.maxPending);
-        json.field("overflow_high_watermark", eq.overflowHwm);
         json.field("one_shot_capacity", eq.oneShotCapacity);
         json.field("one_shot_live", eq.oneShotLive);
-        json.key("level_high_watermarks");
-        json.beginArray();
-        for (std::uint64_t hwm : eq.levelHwm)
-            json.value(hwm);
-        json.endArray();
         json.endObject();
     }
 

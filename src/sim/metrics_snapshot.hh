@@ -1,15 +1,17 @@
 /**
  * @file
- * System-generic metrics snapshot writer (metrics schema_version 4).
+ * System-generic metrics snapshot writer (metrics schema_version 5).
  *
  * Historically Platform::exportMetricsJson() was the only producer of
  * the machine-readable metrics snapshot; the serving control plane
  * (serve::LoadGenerator fleets) needs the identical format for its
  * replay-determinism gates, so the generic parts — the header, the
  * event-core rollup and the per-group metric dump — live here,
- * keyed off any sim::System. Schema v4 adds the required "source"
+ * keyed off any sim::System. Schema v4 added the required "source"
  * field identifying the exporter ("platform", "serve_fleet", ...)
- * so consumers can tell the snapshots apart.
+ * so consumers can tell the snapshots apart; v5 dropped the
+ * timer-wheel-only event_core fields (cascades, overflow and
+ * per-level high-watermarks) with the wheel itself.
  *
  * Producer-specific sections plug in through writer callbacks: the
  * Platform contributes its per-tenant traffic rollups and the

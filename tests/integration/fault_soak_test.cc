@@ -261,3 +261,68 @@ TEST(ExhaustedRead, AbortedRecordFetchIsCountedNotFatal)
         EXPECT_GE(p.system().sumCounter("record_fetch_incomplete"), 1u);
     }
 }
+
+TEST(ExhaustedRead, ChannelResynchronizesAfterAbandonedWindow)
+{
+    // Same set-up, but the drop filter is lifted afterwards. While it
+    // was on, a sender on the path exhausted its retries and dropped
+    // its unacked window; the first TLP it stamps next is marked as a
+    // resync, so the receiver moves its base past the abandoned
+    // seqNos instead of NAKing every later TLP as a gap. The channel
+    // then carries D2H traffic again with no further out-of-order
+    // arrivals.
+    for (bool batched : {true, false}) {
+        SCOPED_TRACE(batched ? "batched" : "per-record");
+        PlatformConfig cfg;
+        cfg.secure = true;
+        cfg.attachBusTap = true;
+        cfg.retry.maxReadRetries = 0;
+        cfg.adaptorConfig.batchMetadataReads = batched;
+        cfg.scConfig.metadataBatching = batched;
+        Platform p(cfg);
+        ASSERT_TRUE(p.establishTrust().ok());
+
+        Bytes secret = sim::Rng(3).bytes(16 * kKiB);
+        p.runtime().memcpyH2D(mm::kXpuVram.base, secret, secret.size(),
+                              [] {});
+        p.run();
+        Bytes got;
+        p.runtime().memcpyD2H(mm::kXpuVram.base, secret.size(), false,
+                              [&](Bytes d) { got = std::move(d); });
+        p.run();
+        ASSERT_EQ(got, secret);
+
+        const std::size_t dropBytes =
+            batched ? 8 : backend::ChunkRecord::kWireBytes;
+        attack::BusTap &tap = *p.busTap();
+        tap.setMode(attack::TapMode::Drop);
+        tap.setTargetFilter([dropBytes](const Tlp &tlp) {
+            return tlp.type == TlpType::Completion &&
+                   tlp.completer == wellknown::kPcieSc &&
+                   tlp.data.size() == dropBytes;
+        });
+        p.runtime().memcpyD2H(mm::kXpuVram.base, secret.size(), false,
+                              [](Bytes) {});
+        p.run();
+        ASSERT_GE(p.system().sumCounter("read_retry_exhausted"), 1u);
+
+        tap.setMode(attack::TapMode::SnoopOnly);
+        tap.setTargetFilter(nullptr);
+        std::uint64_t ooo[2] = {};
+        for (int call = 0; call < 2; ++call) {
+            SCOPED_TRACE(call);
+            bool done = false;
+            got.clear();
+            p.runtime().memcpyD2H(mm::kXpuVram.base, secret.size(),
+                                  false, [&](Bytes d) {
+                                      done = true;
+                                      got = std::move(d);
+                                  });
+            p.run();
+            EXPECT_TRUE(done);
+            EXPECT_EQ(got, secret);
+            ooo[call] = p.system().sumCounter("transport_rx_ooo");
+        }
+        EXPECT_EQ(ooo[1], ooo[0]);
+    }
+}

@@ -75,15 +75,15 @@ TEST(PlatformObservability, MetricsJsonByteIdenticalOnRerun)
     std::string two = metricsAfterRun(2);
     EXPECT_EQ(one, two);
 
-    EXPECT_NE(one.find("\"schema_version\": 4"), std::string::npos);
+    EXPECT_NE(one.find("\"schema_version\": 5"), std::string::npos);
     EXPECT_NE(one.find("\"source\": \"platform\""),
               std::string::npos);
     EXPECT_NE(one.find("\"sim_now_ticks\""), std::string::npos);
     EXPECT_NE(one.find("\"seed\""), std::string::npos);
-    // Event-core rollup from the timer-wheel kernel.
+    // Event-core rollup from the event kernel.
     EXPECT_NE(one.find("\"event_core\""), std::string::npos);
     EXPECT_NE(one.find("\"dispatched\""), std::string::npos);
-    EXPECT_NE(one.find("\"level_high_watermarks\""), std::string::npos);
+    EXPECT_NE(one.find("\"max_pending\""), std::string::npos);
     // Every secure-path component registered a metric group.
     for (const char *prefix :
          {"\"adaptor\"", "\"pcie_sc\"", "\"rc\"", "\"xpu\"",
@@ -208,7 +208,7 @@ TEST(PlatformObservability, VanillaPlatformExports)
     Platform p(cfg);
     ASSERT_TRUE(p.establishTrust().ok());
     std::string json = p.exportMetricsJson(/*includeWall=*/false);
-    EXPECT_NE(json.find("\"schema_version\": 4"), std::string::npos);
+    EXPECT_NE(json.find("\"schema_version\": 5"), std::string::npos);
     EXPECT_NE(json.find("\"secure\": false"), std::string::npos);
     // No adaptor: the tenants section is empty but present.
     EXPECT_NE(json.find("\"tenants\""), std::string::npos);

@@ -34,7 +34,7 @@ class GbnFixture : public ::testing::Test
 
     sim::System sys;
     sim::SimObject owner{sys, "owner"};
-    sim::StatGroup stats{sys.metrics(), "owner"};
+    obs::MetricGroup stats{sys.metrics(), "owner"};
     RetryConfig retry;
 };
 
@@ -161,6 +161,34 @@ TEST_F(GbnSenderTest, ExhaustionAddsWindowToFatalAndClearsIt)
     EXPECT_EQ(sender.unacked(), 0u);
 }
 
+TEST_F(GbnSenderTest, AbandonedWindowMarksTheNextStampAsResync)
+{
+    auto stampOne = [this] {
+        Tlp tlp = Tlp::makeMemWrite(Bdf(0, 1, 0), 0x1000, Bytes(8));
+        sender.stamp(tlp);
+        return tlp;
+    };
+    retry.maxRetries = 0;
+    sendWrites(2);
+    EXPECT_FALSE(stampOne().arqResync);
+    sys.eventq().run(); // window abandoned
+
+    // Only the first stamp after the abandonment is marked, and it is
+    // covered by the MAC'd header.
+    Tlp first = stampOne();
+    EXPECT_TRUE(first.arqResync);
+    Tlp unmarked = first;
+    unmarked.arqResync = false;
+    EXPECT_NE(first.serializeHeader(), unmarked.serializeHeader());
+    EXPECT_FALSE(stampOne().arqResync);
+
+    // A fresh session starts unmarked.
+    sendWrites(1);
+    sys.eventq().run();
+    sender.restart();
+    EXPECT_FALSE(stampOne().arqResync);
+}
+
 TEST_F(GbnSenderTest, DirtyWindowCreditsFaultsRecovered)
 {
     sendWrites(2);
@@ -278,6 +306,40 @@ TEST_F(GbnReceiverTest, RejectingHookNaksWithoutAdvancing)
     EXPECT_EQ(asked, 1);
     EXPECT_EQ(admit(2, [] { return true; }),
               GbnReceiver::Verdict::Deliver);
+}
+
+TEST_F(GbnReceiverTest, ResyncAboveBaseMovesItAfterTheHook)
+{
+    auto admitResync = [this](std::uint64_t seq,
+                              const GbnReceiver::Accept &accept) {
+        Tlp tlp = Tlp::makeMemWrite(Bdf(0, 1, 0), 0x1000, Bytes(8));
+        tlp.ackRequired = true;
+        tlp.txChannel = kChannel;
+        tlp.seqNo = seq;
+        tlp.arqResync = true;
+        return receiver.admit(tlp, accept);
+    };
+    auto accept = [] { return true; };
+    admit(1);
+    admit(2);
+
+    // At or below the base, a resync is a plain duplicate.
+    EXPECT_EQ(admitResync(2, accept), GbnReceiver::Verdict::Duplicate);
+    expectReply(false, 2);
+
+    // Above it, the accept hook still decides; a refusal NAKs the
+    // old next seq without moving the base.
+    EXPECT_EQ(admitResync(6, [] { return false; }),
+              GbnReceiver::Verdict::Rejected);
+    expectReply(true, 3);
+
+    // Accepted, it becomes the new base and the channel flows on.
+    EXPECT_EQ(admitResync(6, accept), GbnReceiver::Verdict::Deliver);
+    expectReply(false, 6);
+    EXPECT_EQ(admit(7), GbnReceiver::Verdict::Deliver);
+    EXPECT_EQ(admit(5), GbnReceiver::Verdict::Duplicate);
+    EXPECT_EQ(count("transport_rx_ooo"), 0u);
+    EXPECT_EQ(count("transport_rx_accepted"), 4u);
 }
 
 TEST_F(GbnReceiverTest, UnsequencedTrafficPassesWithoutReplies)

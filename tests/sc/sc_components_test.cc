@@ -17,6 +17,7 @@
 #include "sim/rng.hh"
 
 using namespace ccai;
+using namespace ccai::backend;
 using namespace ccai::sc;
 using namespace ccai::pcie;
 namespace mm = ccai::pcie::memmap;

@@ -1,8 +1,9 @@
 /**
  * @file
- * Timer-wheel kernel tests: deterministic ordering across wheel level
- * boundaries, O(1) deschedule/reschedule semantics, overflow ring,
- * slab recycling, and a large differential replay against the seed
+ * Event-kernel tests (the suite keeps its timer-wheel name):
+ * deterministic ordering at the former wheel's level edges,
+ * deschedule/reschedule semantics, far-future ticks, slab
+ * recycling, and large differential replays against the seed
  * priority-queue kernel (LegacyEventQueue) as the oracle.
  */
 
@@ -21,9 +22,8 @@ using namespace ccai::sim;
 namespace
 {
 
-// Wheel geometry mirrored from event_queue.hh: level 0 covers 4096
-// one-tick buckets, each upper level adds 6 bits, the whole wheel
-// covers 2^54 ticks.
+// Level edges of the former timer wheel (4096 one-tick buckets, then
+// 6 bits per level, 2^54 ticks in all), kept as boundary cases.
 constexpr Tick kL1Edge = Tick(1) << 12;
 constexpr Tick kL2Edge = Tick(1) << 18;
 constexpr Tick kWheelSpan = Tick(1) << 54;
@@ -32,10 +32,9 @@ constexpr Tick kWheelSpan = Tick(1) << 54;
 
 TEST(TimerWheel, SameTickTiesAcrossLevelBoundaries)
 {
-    // Events landing exactly on a level boundary start life in an
-    // upper-level bucket and cascade down; ties at the boundary tick
-    // must still dispatch in (priority, sequence) order, interleaved
-    // correctly with the neighbouring ticks.
+    // Ties on a former wheel-level boundary tick must dispatch in
+    // (priority, sequence) order, interleaved correctly with the
+    // neighbouring ticks.
     EventQueue q;
     std::vector<int> order;
     for (Tick edge : {kL1Edge, kL2Edge}) {
@@ -135,8 +134,8 @@ TEST(TimerWheel, RunUntilOnBucketEdge)
 
 TEST(TimerWheel, OverflowBeyondWheelSpan)
 {
-    // Events beyond the wheel's 2^54-tick span live in the overflow
-    // map and keep the ordering contract once time reaches them.
+    // Events beyond the former wheel's 2^54-tick span keep the
+    // ordering contract once time reaches them.
     EventQueue q;
     std::vector<int> order;
     const Tick far = kWheelSpan + 12345;
@@ -144,7 +143,6 @@ TEST(TimerWheel, OverflowBeyondWheelSpan)
     q.schedule(far, [&] { order.push_back(0); }, EventPriority::High);
     q.schedule(far + 1, [&] { order.push_back(2); });
     q.schedule(7, [&] { order.push_back(-1); });
-    EXPECT_EQ(q.snapshotStats().overflowHwm, 3u);
     q.run();
     EXPECT_EQ(order, (std::vector<int>{-1, 0, 1, 2}));
     EXPECT_EQ(q.now(), far + 1);
@@ -217,14 +215,15 @@ namespace
 
 /**
  * Differential replay harness: the same logical timer workload driven
- * through the wheel kernel (owned events, real deschedule) and the
- * legacy heap kernel (generation-counter no-ops), recording the order
- * of live firings. The two kernels must agree event for event.
+ * through the event kernel (owned events, real deschedule or in-place
+ * reschedule) and the legacy heap kernel (generation-counter no-ops),
+ * recording the order of live firings. The two kernels must agree
+ * event for event.
  *
  * The workload models the dominant ccAI pattern: per-timer re-arms
  * that usually land before the previous arm fires (ARQ/watchdog
- * churn), plus occasional cancels, with delays spanning every wheel
- * level and the overflow map.
+ * churn), plus occasional cancels, with log-uniform delays up to
+ * 2^56 ticks.
  */
 struct DifferentialScript
 {
@@ -234,13 +233,16 @@ struct DifferentialScript
         Tick delay = 0;    ///< new timeout (0 = cancel)
         std::uint32_t timer = 0;
         EventPriority prio = EventPriority::Default;
+        /** Re-arm a pending timer with reschedule(), not deschedule +
+         * schedule. */
+        bool inPlace = false;
     };
     std::vector<Arm> arms;
     std::uint32_t timers = 0;
 
     static DifferentialScript
     generate(std::uint64_t seed, std::uint32_t timers,
-             std::uint32_t narms)
+             std::uint32_t narms, bool inPlaceRearms = false)
     {
         DifferentialScript s;
         s.timers = timers;
@@ -257,8 +259,7 @@ struct DifferentialScript
             if (kind == 0) {
                 a.delay = 0; // cancel
             } else {
-                // Log-uniform delay: bit-width first, then value —
-                // exercises every level plus the overflow map.
+                // Log-uniform delay: bit-width first, then value.
                 const auto bits = rng.uniform(1, 56);
                 a.delay = 1 + rng.uniform(
                     0, (Tick(1) << bits) - 1);
@@ -266,6 +267,8 @@ struct DifferentialScript
             a.prio = a.timer % 3 == 0 ? EventPriority::High
                    : a.timer % 3 == 1 ? EventPriority::Default
                                       : EventPriority::Low;
+            if (inPlaceRearms)
+                a.inPlace = rng.uniform(0, 1) == 1;
             s.arms.push_back(a);
         }
         return s;
@@ -283,7 +286,7 @@ struct Firing
 };
 
 std::vector<Firing>
-replayWheel(const DifferentialScript &s)
+replayKernel(const DifferentialScript &s)
 {
     EventQueue q;
     std::vector<Firing> firings;
@@ -298,6 +301,12 @@ replayWheel(const DifferentialScript &s)
     for (const auto &a : s.arms) {
         EventFunctionWrapper *t = timers[a.timer].get();
         q.schedule(a.at, [&q, t, a] {
+            // A timer's priority is fixed by its index, so re-keying it
+            // in place keeps the priority the legacy re-arm uses.
+            if (a.inPlace && a.delay != 0 && t->scheduled()) {
+                q.rescheduleIn(t, a.delay);
+                return;
+            }
             if (t->scheduled())
                 q.deschedule(t);
             if (a.delay != 0) {
@@ -334,34 +343,69 @@ replayLegacy(const DifferentialScript &s)
     return firings;
 }
 
+void
+expectSameFirings(const DifferentialScript &script)
+{
+    const auto legacy = replayLegacy(script);
+    const auto heap = replayKernel(script);
+    ASSERT_EQ(heap.size(), legacy.size());
+    for (std::size_t i = 0; i < heap.size(); ++i) {
+        ASSERT_TRUE(heap[i] == legacy[i])
+            << "divergence at firing " << i << ": heap ("
+            << heap[i].at << ", t" << heap[i].timer << ") vs legacy ("
+            << legacy[i].at << ", t" << legacy[i].timer << ")";
+    }
+    EXPECT_GT(heap.size(), script.arms.size() / 20);
+}
+
 } // namespace
 
 TEST(TimerWheel, DifferentialReplayMatchesLegacyKernel)
 {
     // >1M dispatched events on the legacy side (arms + live and stale
-    // timer firings); the wheel must produce the identical live
+    // timer firings); the event kernel must produce the identical live
     // firing sequence.
     const auto script =
         DifferentialScript::generate(0xd1ffu, 512, 600000);
     const auto legacy = replayLegacy(script);
-    const auto wheel = replayWheel(script);
-    ASSERT_EQ(wheel.size(), legacy.size());
-    for (std::size_t i = 0; i < wheel.size(); ++i) {
-        ASSERT_TRUE(wheel[i] == legacy[i])
-            << "divergence at firing " << i << ": wheel ("
-            << wheel[i].at << ", t" << wheel[i].timer
+    const auto heap = replayKernel(script);
+    ASSERT_EQ(heap.size(), legacy.size());
+    for (std::size_t i = 0; i < heap.size(); ++i) {
+        ASSERT_TRUE(heap[i] == legacy[i])
+            << "divergence at firing " << i << ": heap ("
+            << heap[i].at << ", t" << heap[i].timer
             << ") vs legacy (" << legacy[i].at << ", t"
             << legacy[i].timer << ")";
     }
-    EXPECT_GT(wheel.size(), 50000u); // the workload actually fired
+    EXPECT_GT(heap.size(), 50000u); // the workload actually fired
+}
+
+TEST(TimerWheel, DifferentialReplayInPlaceRescheduleMatchesLegacy)
+{
+    // Half the re-arms of pending timers re-key the event in its heap
+    // slot (fresh sequence, one sift) instead of leaving the heap; the
+    // live firings must still match the legacy kernel's.
+    expectSameFirings(
+        DifferentialScript::generate(0x5eedu, 512, 200000, true));
+}
+
+TEST(TimerWheel, DifferentialReplayManyTimersMatchesLegacy)
+{
+    // ~20k timers pending at once: deep sifts through a wide heap,
+    // with and without in-place re-keying.
+    for (bool inPlace : {false, true}) {
+        SCOPED_TRACE(inPlace ? "in-place" : "deschedule+schedule");
+        expectSameFirings(DifferentialScript::generate(
+            0xb16u, 24000, 240000, inPlace));
+    }
 }
 
 TEST(TimerWheel, DifferentialReplayIsDeterministic)
 {
     const auto script =
         DifferentialScript::generate(0xcafeu, 64, 20000);
-    const auto a = replayWheel(script);
-    const auto b = replayWheel(script);
+    const auto a = replayKernel(script);
+    const auto b = replayKernel(script);
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i)
         ASSERT_TRUE(a[i] == b[i]) << "divergence at firing " << i;
